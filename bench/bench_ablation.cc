@@ -1,10 +1,10 @@
-// Ablation bench for the design choices DESIGN.md calls out:
+// Ablation bench for SLFE's design choices:
 //   1. RR delayed-update recovery variant (gather-all-at-start vs
 //      dirty-vertex transition push vs paper-literal all-vertex push);
 //   2. dense/sparse switch threshold (Gemini's |E|/20 vs alternatives);
 //   3. chunk partitioner alpha (edge weight in the balance metric);
-//   4. guidance generation strategy (serial sweep vs frontier-parallel
-//      sweep at several worker counts vs cached retrieval).
+//   4. guidance generation (serial sweep vs partitioned sweep at several
+//      worker counts vs cached retrieval).
 // Each section prints total computations, updates, and runtime so the
 // trade-offs are visible side by side.
 
@@ -120,9 +120,9 @@ void PartitionerAblation() {
 }
 
 void GuidanceGenerationAblation() {
-  std::printf("\n[4] guidance generation strategy (single-source roots; "
+  std::printf("\n[4] guidance generation (single-source roots; "
               "bk = per-iteration bookkeeping share)\n");
-  std::printf("%-8s %-22s %-14s %-14s %-12s\n", "graph", "strategy",
+  std::printf("%-8s %-22s %-14s %-14s %-12s\n", "graph", "sweep",
               "seconds", "bookkeeping", "vs serial");
   bench::PrintRule();
   for (const char* alias : {"LJ", "FS"}) {
@@ -133,13 +133,6 @@ void GuidanceGenerationAblation() {
                 "serial (reference)", serial, "-", "1.00x");
     for (size_t workers : {2u, 4u}) {
       ThreadPool pool(workers);
-      RRGuidance uniform = RRGuidance::GenerateParallel(g, {0}, pool);
-      std::printf("%-8s uniform x%-13zu %-14.6f %-14.6f %.2fx\n", alias,
-                  workers, uniform.generation_seconds(),
-                  uniform.bookkeeping_seconds(),
-                  uniform.generation_seconds() > 0
-                      ? serial / uniform.generation_seconds()
-                      : 0.0);
       RRGuidance part = RRGuidance::GeneratePartitioned(g, {0}, pool);
       std::printf("%-8s partitioned x%-9zu %-14.6f %-14.6f %.2fx\n", alias,
                   workers, part.generation_seconds(),
@@ -156,7 +149,7 @@ void GuidanceGenerationAblation() {
                 hit > 0 ? serial / hit : 0.0);
   }
   std::printf("(partitioned slices by the DistGraph ranges and fuses the "
-              "frontier-edge count into the merge; cached retrieval is the "
+              "frontier-edge count into discovery; cached retrieval is the "
               "paper's multi-job amortization path, ~8.7 jobs/graph)\n");
 }
 

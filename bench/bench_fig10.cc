@@ -58,8 +58,8 @@ void IntraNode() {
                 static_cast<unsigned long long>(mn1));
   }
   std::printf("(paper: stealing removes ~21%% runtime for PR/TR, ~15%% for "
-              "min/max apps; single-core host shows the chunk-spread "
-              "rebalance rather than wall-clock gain)\n");
+              "min/max apps; the chunk-spread column shows the rebalance "
+              "independently of wall-clock noise)\n");
 }
 
 void InterNode() {

@@ -4,7 +4,7 @@
 // own framing: SLFE = Gemini-style runtime + RR). The paper reports
 // 34.2/43.1/42.7/47.5/41.6 % average improvement for SSSP/CC/WP/PR/TR;
 // our scaled graphs are shallower, so expect the same sign and ordering
-// with smaller magnitudes (EXPERIMENTS.md).
+// with smaller magnitudes.
 //
 // Runs through the api::Session facade — the bench declares WHICH apps
 // and knobs per row; dispatch belongs to the AppRegistry.
@@ -55,7 +55,7 @@ void Run() {
     double sum = 0;
     int count = 0;
     for (const std::string& alias : graphs) {
-      // Median of 3 runs to damp single-core scheduling noise.
+      // Median of 3 runs to damp scheduling noise.
       std::vector<double> gem(3), slfe(3);
       for (int i = 0; i < 3; ++i) {
         gem[i] = RuntimeOf(app, alias, false);

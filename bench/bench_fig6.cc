@@ -1,9 +1,10 @@
 // Reproduces paper Fig. 6: intra-node scalability of SLFE (1..68 cores in
 // the paper; a thread sweep here) running CC and PageRank on the FS and LJ
 // graphs, compared against Ligra (shared-memory edgeMap engine) and
-// GraphChi (out-of-core sharded engine). The host has one physical core
-// (DESIGN.md §2), so alongside wall time we report each configuration's
-// per-thread work spread, which is what determines the scaling shape.
+// GraphChi (out-of-core sharded engine). A thread sweep on one host is
+// bounded by its core count, so alongside wall time we report each
+// configuration's per-thread work spread, which is what determines the
+// scaling shape.
 
 #include <cstdio>
 #include <string>

@@ -5,9 +5,9 @@
 // improvement including preprocessing; the guidance is also reusable
 // across jobs (~8.7 jobs per graph at Facebook), amortizing it further.
 // Three follow-up sections quantify the amortization machinery itself:
-// serial vs parallel generation (with the per-iteration bookkeeping cost
-// split out, so the crossover is measurable even where wall clock is
-// noisy), cache-hit retrieval cost across repeated jobs on one graph, and
+// serial vs partitioned generation (with the per-iteration bookkeeping
+// cost split out), cache-hit retrieval cost across repeated jobs on one
+// graph, and
 // warm-restart amortization through the on-disk GuidanceStore (reload vs
 // resweep). Run with --smoke for the CI wiring check: a tiny graph through
 // the warm-restart path only, exiting non-zero if the store did not serve
@@ -73,13 +73,10 @@ void OverheadSection() {
 
 void GenerationSection() {
   bench::PrintHeader(
-      "Fig. 8b: guidance generation, serial vs uniform vs partitioned "
-      "[CAVEAT: 1-core host — parallel sweeps lose to serial here; the "
-      "bookkeeping (bk) columns isolate the per-iteration overhead that "
-      "decides the crossover on real multicore hardware]");
-  std::printf("%-8s %-8s %-12s %-12s %-12s %-12s %-12s %-10s\n", "graph",
-              "depth", "serial(s)", "uniform4(s)", "bk-unif(s)",
-              "part4(s)", "bk-part(s)", "part vs serial");
+      "Fig. 8b: guidance generation, serial vs partitioned (4-worker pool; "
+      "bk = per-iteration bookkeeping share)");
+  std::printf("%-8s %-8s %-12s %-12s %-12s %-10s\n", "graph", "depth",
+              "serial(s)", "part4(s)", "bk-part(s)", "part vs serial");
   bench::PrintRule();
   ThreadPool pool(4);
   for (const std::string& alias : bench::PaperGraphs()) {
@@ -88,32 +85,25 @@ void GenerationSection() {
     auto serial = [&] {
       return RRGuidance::GenerateSerial(g, {0}).generation_seconds();
     };
-    // Medians of 3 for wall clock; the matching bookkeeping medians come
+    // Medians of 3 for wall clock; the matching bookkeeping median comes
     // from the same runs so the two columns describe the same sweeps.
-    std::vector<double> u_total, u_bk, p_total, p_bk;
+    std::vector<double> p_total, p_bk;
     for (int i = 0; i < 3; ++i) {
-      RRGuidance u = RRGuidance::GenerateParallel(g, {0}, pool);
-      u_total.push_back(u.generation_seconds());
-      u_bk.push_back(u.bookkeeping_seconds());
       RRGuidance p = RRGuidance::GeneratePartitioned(g, {0}, pool);
       p_total.push_back(p.generation_seconds());
       p_bk.push_back(p.bookkeeping_seconds());
     }
     double s =
         bench::Median({reference.generation_seconds(), serial(), serial()});
-    double u = bench::Median(u_total);
     double p = bench::Median(p_total);
-    std::printf("%-8s %-8u %-12.5f %-12.5f %-12.5f %-12.5f %-12.5f %.2fx\n",
-                alias.c_str(), reference.depth(), s, u,
-                bench::Median(u_bk), p, bench::Median(p_bk),
+    std::printf("%-8s %-8u %-12.5f %-12.5f %-12.5f %.2fx\n", alias.c_str(),
+                reference.depth(), s, p, bench::Median(p_bk),
                 p > 0 ? s / p : 0.0);
   }
   std::printf(
-      "(bk isolates the per-iteration frontier-edge counting and merge "
-      "overhead; the partitioned strategy fuses the counting pass into "
-      "the merge, trading it for parallel-merge dispatch — on this 1-core "
-      "host dispatch dominates, so compare bk columns on real cores "
-      "before concluding a crossover)\n");
+      "(bk isolates the per-iteration frontier-bitmap fill and merge, which "
+      "folds in the frontier-edge count that drives push/pull switching; "
+      "the rest is edge traversal)\n");
 }
 
 /// Warm-restart amortization: the §4.4 story across process lifetimes. A

@@ -1,8 +1,8 @@
 // bench_sketch — the sketch plane's cost/accuracy card: ingest throughput
 // for the raw conservative-update count-min and for the full
-// HotnessTracker::Record path (4 salted marginals + count-sketch + top-k
-// heap), then a differential accuracy pass against exact counts on a zipf
-// stream — overshoot vs the epsilon*N contract, top-k recall vs the true
+// HotnessTracker::Record path (tenant + graph count-min marginals + top-k
+// heap offer), then a differential accuracy pass against exact counts on a
+// zipf stream — overshoot vs the epsilon*N contract, top-k recall vs the true
 // heavy hitters — and the counter-storage footprint. Emits
 // BENCH_sketch.json; exits non-zero if any accuracy gate fails, so a
 // regressed hash mix or a broken conservative update can't land as a
@@ -94,7 +94,7 @@ int Main(int argc, char** argv) {
   const std::string tenants[] = {"acme", "globex", "initech", "umbrella"};
   t0 = Clock::now();
   for (size_t i = 0; i < stream.size(); ++i) {
-    tracker.Record(tenants[i & 3], stream[i], "sssp");
+    tracker.Record(tenants[i & 3], stream[i]);
   }
   t1 = Clock::now();
   const double record_ns = NsPerOp(t0, t1, stream.size());

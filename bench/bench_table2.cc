@@ -3,7 +3,7 @@
 // 7.5 (Gemini) on average; the ideal with no redundancy is 1. Our scaled
 // synthetic graphs are shallower than the full datasets, so the absolute
 // values are lower — the comparison that matters is "well above 1, and
-// GAS above the dual-mode engine" (see EXPERIMENTS.md).
+// GAS above the dual-mode engine".
 
 #include <cstdio>
 

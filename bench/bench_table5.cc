@@ -2,7 +2,7 @@
 // SLFE for five applications across the seven graphs, with SLFE's speedup
 // per cell and the geometric mean at the end. PR and TR report
 // per-iteration runtime, as in the paper. Runtime = compute wall time plus
-// simulated network time (DESIGN.md §2).
+// simulated network time (the cost model in sim/comm.h).
 
 #include <cmath>
 #include <cstdio>

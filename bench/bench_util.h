@@ -17,8 +17,9 @@
 
 namespace slfe::bench {
 
-/// Extra shrink factor on top of DESIGN.md's ~1/100-scale dataset suite so
-/// every bench binary finishes in seconds on the single-core host.
+/// Extra shrink factor on top of the ~1/100-scale dataset suite
+/// (ScaledDatasets in graph/generators.h) so every bench binary finishes
+/// in seconds.
 /// Override with SLFE_BENCH_SCALE=1 for the full scaled suite.
 inline uint32_t ScaleDivisor() {
   const char* env = std::getenv("SLFE_BENCH_SCALE");
@@ -41,7 +42,7 @@ inline EdgeList EdgesFor(const std::string& alias) {
   if (alias == "GRID") {
     // Deep road-network-like topology: large diameter creates the
     // many-updates-per-vertex redundancy regime of the paper's full-size
-    // graphs, which the shallow scaled RMAT suite cannot (EXPERIMENTS.md).
+    // graphs, which the shallow scaled RMAT suite cannot.
     // Fixed size: shrinking it leaves superstep overhead dominating its
     // several-hundred-iteration runs.
     return GenerateGrid(192, 192, /*weighted=*/true, 77,
@@ -137,15 +138,15 @@ inline api::AppOutcome RunApp(api::Session& session, api::AppRequest request) {
 inline AppConfig ClusterConfig(int num_nodes, bool enable_rr) {
   AppConfig cfg;
   cfg.num_nodes = num_nodes;
-  cfg.threads_per_node = 1;  // host has one physical core (DESIGN.md §2)
+  cfg.threads_per_node = 1;  // one worker thread per simulated node
   cfg.enable_rr = enable_rr;
   cfg.max_iters = 50;
   cfg.epsilon = 1e-7;
   return cfg;
 }
 
-/// Median of a sample (benches run everything 3x to damp single-core
-/// scheduling noise). Takes the vector by value: callers keep their sample.
+/// Median of a sample (benches run everything 3x to damp scheduling
+/// noise). Takes the vector by value: callers keep their sample.
 inline double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v.empty() ? 0.0 : v[v.size() / 2];

@@ -53,13 +53,12 @@ struct CliOptions {
   slfe::VertexId root = 0;
   uint32_t scale_divisor = 4;
   // Guidance subsystem knobs (only consulted with --rr): persistent store
-  // directory + its GC policy, and the generation strategy.
+  // directory + its GC policy, and the generation workers.
   std::string store_dir;
   uint64_t store_max_entries = 0;
   uint64_t store_max_bytes = 0;
   double store_ttl = 0;
   std::string arena_dir;
-  std::string gen_strategy = "auto";
   uint32_t gen_threads = 0;
   size_t mini_chunk = 0;
   // Daemon mode (--serve): line-protocol job service.
@@ -99,9 +98,8 @@ void PrintUsage() {
       "                   present (skipping the synthesis + parse), and\n"
       "                   write one back after a cold load (warm restarts;\n"
       "                   also honored by --serve)\n"
-      "  --gen-strategy=S guidance generation: auto|serial|uniform|\n"
-      "                   partitioned (default auto)\n"
-      "  --gen-threads=N  guidance generation workers (default: cores)\n"
+      "  --gen-threads=N  guidance generation workers (default: cores;\n"
+      "                   1 = the serial reference sweep)\n"
       "  --mini-chunk=N   work-stealing granularity of the partitioned\n"
       "                   sweep (default 256; tune per host)\n"
       "  --serve          run as the multi-tenant job daemon (line\n"
@@ -122,22 +120,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
     return true;
   }
   return false;
-}
-
-bool ParseStrategy(const std::string& name,
-                   slfe::GuidanceGenerationStrategy* out) {
-  if (name == "auto") {
-    *out = slfe::GuidanceGenerationStrategy::kAuto;
-  } else if (name == "serial") {
-    *out = slfe::GuidanceGenerationStrategy::kSerial;
-  } else if (name == "uniform") {
-    *out = slfe::GuidanceGenerationStrategy::kUniformParallel;
-  } else if (name == "partitioned") {
-    *out = slfe::GuidanceGenerationStrategy::kPartitionedParallel;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -174,8 +156,6 @@ int main(int argc, char** argv) {
       opt.store_ttl = std::atof(value.c_str());
     } else if (ParseFlag(argv[i], "--arena-dir", &value)) {
       opt.arena_dir = value;
-    } else if (ParseFlag(argv[i], "--gen-strategy", &value)) {
-      opt.gen_strategy = value;
     } else if (ParseFlag(argv[i], "--gen-threads", &value)) {
       opt.gen_threads = static_cast<uint32_t>(std::atoi(value.c_str()));
     } else if (ParseFlag(argv[i], "--mini-chunk", &value)) {
@@ -239,11 +219,6 @@ int main(int argc, char** argv) {
     sopt.provider.store_gc.ttl_seconds = opt.store_ttl;
     sopt.provider.generation_threads = opt.gen_threads;
     sopt.provider.generation_mini_chunk = opt.mini_chunk;
-    if (!ParseStrategy(opt.gen_strategy, &sopt.provider.generation_strategy)) {
-      std::fprintf(stderr, "unknown --gen-strategy: %s\n",
-                   opt.gen_strategy.c_str());
-      return 2;
-    }
     sopt.maintenance_interval_seconds = opt.maintenance_interval;
     sopt.arena_dir = opt.arena_dir;
     std::FILE* in = stdin;
@@ -286,12 +261,6 @@ int main(int argc, char** argv) {
   sopt.provider.generation_threads = opt.gen_threads;
   sopt.provider.generation_mini_chunk = opt.mini_chunk;
   sopt.arena_dir = opt.arena_dir;
-  if (!ParseStrategy(opt.gen_strategy, &sopt.provider.generation_strategy)) {
-    std::fprintf(stderr, "unknown --gen-strategy: %s\n",
-                 opt.gen_strategy.c_str());
-    PrintUsage();
-    return 2;
-  }
 
   slfe::api::Session session(sopt);
 
@@ -380,12 +349,12 @@ int main(int argc, char** argv) {
     slfe::GuidanceCacheStats cs = session.provider().cache_stats();
     std::printf(
         "guidance store: saves=%llu loads=%llu store_hits=%llu "
-        "gc_removed=%llu (dir=%s, strategy=%s)\n",
+        "gc_removed=%llu (dir=%s)\n",
         static_cast<unsigned long long>(ss.saves),
         static_cast<unsigned long long>(ss.loads),
         static_cast<unsigned long long>(cs.store_hits),
         static_cast<unsigned long long>(ss.gc_removed),
-        session.provider().store()->dir().c_str(), opt.gen_strategy.c_str());
+        session.provider().store()->dir().c_str());
   }
   return 0;
 }

@@ -302,10 +302,8 @@ std::shared_ptr<const RRGuidance> GuidanceProvider::GenerateNow(
   // which would otherwise fight over the workers.)
   std::lock_guard<std::mutex> lock(pool_mu_);
   Timer generation_timer;
-  auto guidance =
-      std::make_shared<const RRGuidance>(RRGuidance::GenerateWithStrategy(
-          graph, roots, options_.generation_strategy, GenerationPool(),
-          options_.generation_mini_chunk));
+  auto guidance = std::make_shared<const RRGuidance>(RRGuidance::Generate(
+      graph, roots, GenerationPool(), options_.generation_mini_chunk));
   if (generation_hist_ != nullptr) {
     generation_hist_->Observe(generation_timer.Seconds());
   }

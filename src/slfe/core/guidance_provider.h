@@ -25,8 +25,8 @@ struct GraphDelta;
 
 /// How the provider derives the guidance root set from a request — the
 /// per-application-class policies that used to be duplicated across the
-/// apps (DESIGN.md: the sweep must start where the application's own
-/// propagation starts).
+/// apps (the sweep must start where the application's own propagation
+/// starts).
 enum class GuidanceRootPolicy {
   /// Single-source apps (SSSP/BFS/WP/NumPaths): the query root.
   kSingleSource,
@@ -95,18 +95,12 @@ struct GuidanceRepairOptions {
 struct GuidanceProviderOptions {
   /// Maximum cached (graph, roots) entries.
   size_t cache_capacity = 32;
-  /// Workers for parallel generation; 0 = hardware concurrency. A value of
-  /// 1 forces the serial reference sweep.
+  /// Workers for generation; 0 = hardware concurrency. More than one runs
+  /// the partitioned sweep, 1 the serial reference (bit-identical output).
   size_t generation_threads = 0;
-  /// Which sweep implementation misses are generated with. kAuto =
-  /// partitioned-parallel when generation_threads > 1, serial otherwise;
-  /// kUniformParallel keeps the pre-partitioning slicing (ablations). All
-  /// strategies produce bit-identical guidance.
-  GuidanceGenerationStrategy generation_strategy =
-      GuidanceGenerationStrategy::kAuto;
   /// Work-stealing granularity (vertices per mini-chunk) for the
-  /// partitioned sweep's push phase. 0 = the paper's 256; tune per host —
-  /// the ROADMAP multicore-crossover knob, exposed as --mini-chunk.
+  /// partitioned sweep's push phase. 0 = the paper's 256; tune per host,
+  /// exposed as --mini-chunk.
   size_t generation_mini_chunk = 0;
   /// Non-empty = persist cache entries as fingerprint-keyed files in this
   /// directory (typically next to the ooc shard files), so the §4.4

@@ -9,8 +9,8 @@
 namespace slfe {
 
 /// Root-set selection for RR guidance generation, per application class
-/// (DESIGN.md: the guidance sweep must start where the application's own
-/// propagation starts for the "propagation order" to be meaningful).
+/// (the guidance sweep must start where the application's own propagation
+/// starts for the "propagation order" to be meaningful).
 
 /// Roots for label-propagation apps whose final label is the component
 /// minimum (CC): every local minimum — a vertex smaller than all of its

@@ -12,23 +12,9 @@
 
 namespace slfe {
 
-const char* GuidanceGenerationStrategyName(GuidanceGenerationStrategy s) {
-  switch (s) {
-    case GuidanceGenerationStrategy::kAuto:
-      return "auto";
-    case GuidanceGenerationStrategy::kSerial:
-      return "serial";
-    case GuidanceGenerationStrategy::kUniformParallel:
-      return "uniform";
-    case GuidanceGenerationStrategy::kPartitionedParallel:
-      return "partitioned";
-  }
-  return "unknown";
-}
-
 RRGuidance RRGuidance::Generate(const Graph& graph,
                                 const std::vector<VertexId>& roots,
-                                ThreadPool* pool) {
+                                ThreadPool* pool, size_t mini_chunk) {
   if (roots.empty() && graph.num_vertices() > 0) {
     SLFE_LOG(Warning)
         << "RRGuidance::Generate called with an empty root set: the sweep "
@@ -36,28 +22,10 @@ RRGuidance RRGuidance::Generate(const Graph& graph,
            "should use GenerateAllRoots or the selectors in roots.h.";
   }
   if (pool != nullptr && pool->num_threads() > 1) {
-    return GeneratePartitioned(graph, roots, *pool);
+    return GeneratePartitioned(graph, roots, *pool, /*dense_fraction=*/0.05,
+                               mini_chunk);
   }
   return GenerateSerial(graph, roots);
-}
-
-RRGuidance RRGuidance::GenerateWithStrategy(
-    const Graph& graph, const std::vector<VertexId>& roots,
-    GuidanceGenerationStrategy strategy, ThreadPool* pool,
-    size_t mini_chunk) {
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      strategy == GuidanceGenerationStrategy::kSerial) {
-    return GenerateSerial(graph, roots);
-  }
-  switch (strategy) {
-    case GuidanceGenerationStrategy::kUniformParallel:
-      return GenerateParallel(graph, roots, *pool);
-    case GuidanceGenerationStrategy::kAuto:
-    case GuidanceGenerationStrategy::kPartitionedParallel:
-    default:
-      return GeneratePartitioned(graph, roots, *pool, /*dense_fraction=*/0.05,
-                                 mini_chunk);
-  }
 }
 
 RRGuidance RRGuidance::GenerateSerial(const Graph& graph,
@@ -102,7 +70,7 @@ RRGuidance RRGuidance::GenerateSerial(const Graph& graph,
         if (!rrg.guidance_[dst].visited) {
           rrg.guidance_[dst].visited = true;
           // First visit fixes the BFS level — unique per vertex, which is
-          // why all strategies record bit-identical levels planes.
+          // why both sweeps record bit-identical levels planes.
           rrg.levels_[dst] = iter;
           next.push_back(dst);
         }
@@ -112,148 +80,6 @@ RRGuidance RRGuidance::GenerateSerial(const Graph& graph,
   }
   rrg.depth_ = deepest;
   rrg.generation_seconds_ = timer.Seconds();
-  return rrg;
-}
-
-RRGuidance RRGuidance::GenerateParallel(const Graph& graph,
-                                        const std::vector<VertexId>& roots,
-                                        ThreadPool& pool,
-                                        double dense_fraction) {
-  Timer timer;
-  AccumTimer bookkeeping;
-  RRGuidance rrg;
-  VertexId n = graph.num_vertices();
-  rrg.guidance_.assign(n, VertexGuidance{});
-  rrg.levels_.assign(n, kUnreachableLevel);
-
-  Bitmap visited(n);
-  std::vector<VertexId> frontier;
-  frontier.reserve(roots.size());
-  for (VertexId r : roots) {
-    SLFE_CHECK_LT(r, n);
-    if (visited.SetBit(r)) {
-      rrg.levels_[r] = 0;
-      frontier.push_back(r);
-    }
-  }
-
-  const Csr& out = graph.out();
-  const Csr& in = graph.in();
-  size_t workers = pool.num_threads();
-  std::vector<std::vector<VertexId>> next(workers);
-  std::vector<uint64_t> edge_partial(workers, 0);
-  // Set when a worker traverses any frontier edge this iteration; the last
-  // iteration with a set flag is the sweep depth (matches the serial
-  // `deepest = iter` assignment).
-  std::vector<uint8_t> touched(workers, 0);
-  Bitmap frontier_bits(n);  // dense-pull frontier membership
-
-  uint32_t iter = 0;
-  uint32_t deepest = 0;
-  while (!frontier.empty()) {
-    ++iter;
-    const uint32_t level = iter;
-    for (auto& v : next) v.clear();
-    std::fill(touched.begin(), touched.end(), uint8_t{0});
-
-    // Direction choice, exactly as ShmEngine::EdgeMap: compare the
-    // frontier's outgoing edge count against |E| * dense_fraction. This
-    // extra counting pass is the uniform strategy's per-iteration
-    // bookkeeping cost; GeneratePartitioned fuses it into the previous
-    // iteration's merge instead.
-    bookkeeping.Start();
-    std::fill(edge_partial.begin(), edge_partial.end(), 0);
-    pool.ParallelFor(0, frontier.size(), [&](size_t w, size_t lo, size_t hi) {
-      uint64_t sum = 0;
-      for (size_t i = lo; i < hi; ++i) sum += out.degree(frontier[i]);
-      edge_partial[w] = sum;
-    });
-    uint64_t frontier_edges = 0;
-    for (uint64_t p : edge_partial) frontier_edges += p;
-    bookkeeping.Stop();
-    bool dense = ChooseDense(frontier_edges, graph.num_edges(),
-                             dense_fraction);
-
-    if (dense) {
-      // Pull: every destination checks its in-neighbors for frontier
-      // membership. One frontier predecessor is enough to pin
-      // last_iter = iter (all writers this level would store the same
-      // value), so the scan can stop at the first hit — the classic
-      // bottom-up win. Destinations are partitioned across workers, so
-      // the per-dst writes need no atomics.
-      frontier_bits.Clear();
-      pool.ParallelFor(0, frontier.size(),
-                       [&](size_t, size_t lo, size_t hi) {
-                         for (size_t i = lo; i < hi; ++i) {
-                           frontier_bits.SetBit(frontier[i]);
-                         }
-                       });
-      pool.ParallelFor(0, n, [&](size_t w, size_t lo, size_t hi) {
-        for (size_t dv = lo; dv < hi; ++dv) {
-          VertexId dst = static_cast<VertexId>(dv);
-          bool hit = false;
-          for (EdgeId e = in.begin(dst); e < in.end(dst); ++e) {
-            if (frontier_bits.TestBit(in.neighbor(e))) {
-              hit = true;
-              break;
-            }
-          }
-          if (!hit) continue;
-          rrg.guidance_[dst].last_iter = level;
-          touched[w] = 1;
-          if (visited.SetBit(dst)) {
-            // SetBit's winner is the unique discoverer, so this plain
-            // store has exactly one writer (and `level` is the vertex's
-            // unique BFS distance — deterministic across strategies).
-            rrg.levels_[dst] = level;
-            next[w].push_back(dst);
-          }
-        }
-      });
-    } else {
-      // Push: frontier vertices scatter over their out-edges. Multiple
-      // sources may race on one destination, but every writer stores the
-      // same `level`, so a relaxed atomic store suffices; the visited
-      // bitmap's fetch_or picks the unique worker that enqueues dst.
-      pool.ParallelFor(0, frontier.size(), [&](size_t w, size_t lo,
-                                               size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          VertexId src = frontier[i];
-          for (EdgeId e = out.begin(src); e < out.end(src); ++e) {
-            VertexId dst = out.neighbor(e);
-            __atomic_store_n(&rrg.guidance_[dst].last_iter, level,
-                             __ATOMIC_RELAXED);
-            touched[w] = 1;
-            if (visited.SetBit(dst)) {
-              rrg.levels_[dst] = level;  // unique discoverer (SetBit winner)
-              next[w].push_back(dst);
-            }
-          }
-        }
-      });
-    }
-
-    bookkeeping.Start();
-    for (uint8_t t : touched) {
-      if (t != 0) deepest = level;
-    }
-    frontier.clear();
-    for (const auto& local : next) {
-      frontier.insert(frontier.end(), local.begin(), local.end());
-    }
-    bookkeeping.Stop();
-  }
-
-  // Commit the visited bitmap into the per-vertex records.
-  pool.ParallelFor(0, n, [&](size_t, size_t lo, size_t hi) {
-    for (size_t v = lo; v < hi; ++v) {
-      rrg.guidance_[v].visited = visited.TestBit(v);
-    }
-  });
-
-  rrg.depth_ = deepest;
-  rrg.generation_seconds_ = timer.Seconds();
-  rrg.bookkeeping_seconds_ = bookkeeping.Seconds();
   return rrg;
 }
 
@@ -274,8 +100,8 @@ RRGuidance RRGuidance::GeneratePartitioned(const Graph& graph,
   // (edge-balanced, so the dense-pull phase is load-balanced without
   // stealing and each worker touches only the range its socket owns).
   // Setup cost, not per-iteration bookkeeping: O(V) once, outside the
-  // bookkeeping accounting so the bk columns in bench_fig8b isolate the
-  // per-iteration share the ROADMAP item is about.
+  // bookkeeping accounting so the bk column in bench_fig8b isolates the
+  // per-iteration share.
   size_t workers = pool.num_threads();
   std::vector<VertexRange> ranges =
       DistGraph::BuildRanges(graph, static_cast<int>(workers));
@@ -289,8 +115,8 @@ RRGuidance RRGuidance::GeneratePartitioned(const Graph& graph,
   size_t frontier_size = 0;
   // Out-edge total of the CURRENT frontier, maintained incrementally:
   // seeded from the roots, then folded into discovery (each newly visited
-  // vertex adds its out-degree as it is enqueued). This replaces the
-  // uniform strategy's per-iteration counting pass.
+  // vertex adds its out-degree as it is enqueued), so no iteration needs
+  // a separate counting pass over the frontier.
   uint64_t frontier_edges = 0;
   const Csr& out = graph.out();
   const Csr& in = graph.in();
@@ -329,7 +155,8 @@ RRGuidance RRGuidance::GeneratePartitioned(const Graph& graph,
     if (dense) {
       // Pull: worker w scans ONLY its own vertex range, so the per-dst
       // last_iter writes need no atomics and every discovered vertex is
-      // already in its owner's bucket.
+      // already in its owner's bucket. One frontier in-neighbor pins
+      // last_iter = level, so each scan stops at its first hit.
       bookkeeping.Start();
       frontier_bits.Clear();
       pool.ParallelRun([&](size_t w) {

@@ -23,26 +23,6 @@ struct VertexGuidance {
   bool visited = false;
 };
 
-/// Which sweep implementation generates the guidance. All three produce
-/// bit-identical last_iter / visited / depth (the differential harness in
-/// tests/guidance_partition_test.cc enforces this across graph shapes), so
-/// the strategy is purely a performance/placement choice.
-enum class GuidanceGenerationStrategy {
-  /// Partitioned-parallel with a pool, serial without one (the default).
-  kAuto,
-  /// The single-threaded reference sweep, always.
-  kSerial,
-  /// Uniform frontier slicing across workers (the pre-partitioning
-  /// parallel sweep; kept as the ablation baseline).
-  kUniformParallel,
-  /// DistGraph-range partitioned work: each worker owns the contiguous
-  /// vertex range the distributed engine would assign it, with per-
-  /// partition frontier buffers and fused frontier-edge bookkeeping.
-  kPartitionedParallel,
-};
-
-const char* GuidanceGenerationStrategyName(GuidanceGenerationStrategy s);
-
 /// What RRGuidance::Repair did — how tightly the delta's damage was
 /// bounded. invalidated/recomputed stay near the touched region when the
 /// delta is local; a delta that severs a hub pushes them toward |V| and
@@ -77,36 +57,19 @@ class RRGuidance {
   /// visited, all-zero lastIter): legal, but it disables all redundancy
   /// reduction for that run, so Generate warns when it sees one.
   ///
-  /// When `pool` is non-null (and has more than one worker) the sweep runs
-  /// partition-parallel; results are bit-identical to the serial reference.
+  /// When `pool` has more than one worker the sweep runs partition-
+  /// parallel (GeneratePartitioned, with `mini_chunk` as its stealing
+  /// granularity); otherwise it is the serial reference. Both produce
+  /// bit-identical guidance. This is the provider's path.
   static RRGuidance Generate(const Graph& graph,
                              const std::vector<VertexId>& roots,
-                             ThreadPool* pool = nullptr);
-
-  /// Strategy-explicit entry point (the provider's path). A null pool — or
-  /// a 1-worker pool — forces the serial reference regardless of strategy.
-  /// `mini_chunk` is the partitioned sweep's work-stealing granularity
-  /// (0 = WorkStealingScheduler::kMiniChunk); only the partitioned
-  /// strategy consults it.
-  static RRGuidance GenerateWithStrategy(const Graph& graph,
-                                         const std::vector<VertexId>& roots,
-                                         GuidanceGenerationStrategy strategy,
-                                         ThreadPool* pool,
-                                         size_t mini_chunk = 0);
+                             ThreadPool* pool = nullptr,
+                             size_t mini_chunk = 0);
 
   /// The single-threaded reference sweep (paper Algorithm 1, frontier
-  /// form). Kept as the equivalence baseline for GenerateParallel.
+  /// form). Kept as the equivalence oracle for GeneratePartitioned.
   static RRGuidance GenerateSerial(const Graph& graph,
                                    const std::vector<VertexId>& roots);
-
-  /// Frontier-parallel sweep over `pool`: per-iteration sparse-push /
-  /// dense-pull direction switching (the Ligra heuristic ShmEngine::EdgeMap
-  /// uses) with an atomic visited Bitmap. Produces exactly the serial
-  /// sweep's last_iter / visited / depth.
-  static RRGuidance GenerateParallel(const Graph& graph,
-                                     const std::vector<VertexId>& roots,
-                                     ThreadPool& pool,
-                                     double dense_fraction = 0.05);
 
   /// Partition-aware parallel sweep: vertices are split into the same
   /// edge-balanced contiguous ranges DistGraph::Build assigns its nodes
@@ -117,10 +80,9 @@ class RRGuidance {
   /// own band first, steal leftovers — and the frontier-edge count that
   /// drives push/pull switching is fused into the discovery path (each
   /// newly visited vertex contributes its out-degree as it is enqueued),
-  /// eliminating the uniform sweep's extra per-iteration counting pass.
-  /// Bit-identical to the serial reference. `mini_chunk` tunes the
-  /// push-phase stealing granularity (0 = the 256-vertex default) — the
-  /// ROADMAP multicore crossover knob.
+  /// so no iteration pays a separate counting pass. Bit-identical to the
+  /// serial reference. `mini_chunk` tunes the push-phase stealing
+  /// granularity (0 = the 256-vertex default).
   static RRGuidance GeneratePartitioned(const Graph& graph,
                                         const std::vector<VertexId>& roots,
                                         ThreadPool& pool,
@@ -187,8 +149,8 @@ class RRGuidance {
 
   /// BFS level (unweighted distance from the root set) per vertex, or
   /// kUnreachableLevel for vertices the sweep never reached. Levels are a
-  /// derived-deterministic plane — BFS distance is unique, so all three
-  /// generation strategies record bit-identical levels — and they are what
+  /// derived-deterministic plane — BFS distance is unique, so the serial
+  /// and partitioned sweeps record bit-identical levels — and they are what
   /// makes incremental Repair possible: last_iter(v) alone (= max over
   /// visited in-neighbors u of level(u)+1) cannot be patched without
   /// knowing the levels it was derived from. False only for guidance
@@ -204,12 +166,12 @@ class RRGuidance {
   double generation_seconds() const { return generation_seconds_; }
 
   /// The share of generation_seconds spent on per-iteration parallel
-  /// bookkeeping rather than edge traversal: the frontier-edge counting
-  /// pass (uniform strategy only — the partitioned strategy fuses it into
-  /// the merge) and the next-frontier merge. Zero for the serial sweep,
-  /// which has none; one-time setup (partitioning the vertex space) is
-  /// deliberately excluded. This is what makes the serial-vs-parallel
-  /// crossover measurable on few-core hosts (bench_fig8b).
+  /// bookkeeping rather than edge traversal: the dense-phase frontier
+  /// bitmap fill and the next-frontier merge (which also folds in the
+  /// frontier-edge count). Zero for the serial sweep, which has none;
+  /// one-time setup (partitioning the vertex space) is deliberately
+  /// excluded. This is what makes the serial-vs-parallel crossover
+  /// measurable on few-core hosts (bench_fig8b).
   double bookkeeping_seconds() const { return bookkeeping_seconds_; }
 
   /// The guidance is reusable across applications on the same graph
@@ -229,6 +191,14 @@ class RRGuidance {
   double bookkeeping_seconds_ = 0;
 };
 
+/// Floor on the stability horizon. Arithmetic values travel around cycles,
+/// so a vertex with a very small lastIter can coincide with a few
+/// exactly-stable float rounds while upstream values are still moving;
+/// requiring at least this many stable rounds guards against premature
+/// freezing (the paper's deep full-size graphs have naturally large
+/// lastIter, masking the problem).
+inline constexpr uint64_t kMinStableRounds = 8;
+
 /// Stability horizon for "finish early" (Algorithm 5): how many
 /// consecutive exactly-stable rounds vertex v needs before it may freeze.
 /// Shared by every arithmetic consumer (ArithRunner, OocPrGuided) so the
@@ -241,13 +211,12 @@ class RRGuidance {
 ///    lastIter (on a chain, a vertex stable since the start would
 ///    otherwise freeze exactly one iteration before the update wave
 ///    reaches it);
-///  * never below `min_rounds`, guarding small-lastIter vertices on
+///  * never below kMinStableRounds, guarding small-lastIter vertices on
 ///    cycle-bound graphs from freezing on a coincidental stable streak.
-inline uint64_t StabilityHorizon(const RRGuidance* guidance, VertexId v,
-                                 uint64_t min_rounds) {
+inline uint64_t StabilityHorizon(const RRGuidance* guidance, VertexId v) {
   if (guidance == nullptr || !guidance->visited(v)) return UINT64_MAX;
   uint64_t li = static_cast<uint64_t>(guidance->last_iter(v)) + 1;
-  return li < min_rounds ? min_rounds : li;
+  return li < kMinStableRounds ? kMinStableRounds : li;
 }
 
 }  // namespace slfe

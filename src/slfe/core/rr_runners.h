@@ -274,15 +274,6 @@ class ArithRunner {
     engine_->mutable_options().mode_policy = ModePolicy::kAlwaysPull;
   }
 
-  /// Floor on the per-vertex stability horizon. Arithmetic values travel
-  /// around cycles, so a vertex with a very small lastIter can coincide
-  /// with a few exactly-stable float rounds while upstream values are
-  /// still moving; requiring at least this many stable rounds guards
-  /// against premature freezing (the paper's deep full-size graphs have
-  /// naturally large lastIter, masking the issue).
-  void set_min_stable_rounds(uint32_t rounds) { min_stable_rounds_ = rounds; }
-  uint32_t min_stable_rounds() const { return min_stable_rounds_; }
-
   /// One user-defined vertex function applied after each propagation
   /// superstep (the paper's vertexUpdate). Receives the vertex and the
   /// gathered accumulator; returns the vertex's new committed value.
@@ -352,7 +343,9 @@ class ArithRunner {
             stable_cnt_[v] = 0;
             stable_value_[v] = next;
           }
-          if (stable_cnt_[v] >= EffectiveLastIter(v)) frozen_[v] = 1;
+          if (stable_cnt_[v] >= StabilityHorizon(guidance_, v)) {
+            frozen_[v] = 1;
+          }
         }
         double d = static_cast<double>(next) - static_cast<double>(prev);
         return d < 0 ? -d : d;
@@ -376,15 +369,8 @@ class ArithRunner {
   }
 
  private:
-  /// Stability horizon for v (see StabilityHorizon in rr_guidance.h for
-  /// the rules; this just binds the runner's configured floor).
-  uint64_t EffectiveLastIter(VertexId v) const {
-    return StabilityHorizon(guidance_, v, min_stable_rounds_);
-  }
-
   DistEngine<V>* engine_;
   const RRGuidance* guidance_;
-  uint32_t min_stable_rounds_ = 8;
   std::vector<V> accum_;
   std::vector<uint32_t> stable_cnt_;   // the paper's RulerS
   std::vector<V> stable_value_;

@@ -17,7 +17,7 @@ namespace slfe {
 /// space, adjacency stays in the shared Graph (no duplicated per-node CSR).
 /// What is genuinely per-node on a real cluster — who owns each vertex, and
 /// which remote nodes hold mirrors of it — is materialized here, and the
-/// engine charges communication costs from it (DESIGN.md §2).
+/// engine charges communication costs from it (sim/comm.h).
 class DistGraph {
  public:
   /// Builds ownership ranges (edge-balanced chunking, Gemini-style) and the

@@ -82,7 +82,7 @@ struct GasStats {
 ///   * hash placement (vertex-cut) replication factors instead of
 ///     chunking locality.
 ///
-/// The graph itself is shared in memory (DESIGN.md §2): replication
+/// The graph itself is shared in memory (one simulated cluster): replication
 /// factors drive the simulated communication cost, not actual copies.
 template <typename V>
 class GasEngine {

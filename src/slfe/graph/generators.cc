@@ -130,7 +130,7 @@ EdgeList GenerateComplete(VertexId num_vertices) {
 }
 
 const std::vector<DatasetSpec>& ScaledDatasets() {
-  // ~1/100-scale analogs of the paper's Table 4 (DESIGN.md §2). Degree skew
+  // ~1/100-scale analogs of the paper's Table 4. Degree skew
   // follows the dataset class: social graphs use the classic (.57,.19,.19)
   // quadrant weights; DI (folksonomy, avg degree 8.9) is sparser.
   static const std::vector<DatasetSpec>* kSpecs =

@@ -58,7 +58,8 @@ struct DatasetSpec {
   uint64_t seed;
 };
 
-/// The scaled dataset suite from DESIGN.md §2 (deterministic seeds).
+/// The scaled dataset suite: ~1/100-scale analogs of the paper's Table 4
+/// graphs (deterministic seeds).
 const std::vector<DatasetSpec>& ScaledDatasets();
 
 /// Looks up a dataset spec by alias; Status error if unknown.

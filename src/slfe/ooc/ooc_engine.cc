@@ -160,7 +160,6 @@ OocStats OocPrGuided(OocEngine& engine, const Graph& graph,
   // counts consecutive sweeps with an exactly unchanged damped rank; once
   // it reaches v's stability horizon (StabilityHorizon in rr_guidance.h)
   // the vertex freezes and its in-edge accumulations are skipped.
-  constexpr uint64_t kMinStableRounds = 8;
   std::vector<uint32_t> stable_cnt(n, 0);
   std::vector<uint8_t> frozen(n, 0);
 
@@ -180,7 +179,7 @@ OocStats OocPrGuided(OocEngine& engine, const Graph& graph,
       if (frozen[v] != 0) continue;  // EC: the cached value stands in
       float next = 0.15f + 0.85f * acc[v];
       if (next == r[v]) {
-        if (++stable_cnt[v] >= StabilityHorizon(rrg, v, kMinStableRounds)) {
+        if (++stable_cnt[v] >= StabilityHorizon(rrg, v)) {
           frozen[v] = 1;
         }
       } else {

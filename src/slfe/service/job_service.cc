@@ -173,7 +173,7 @@ Result<JobTicket> JobService::Submit(const JobRequest& request) {
   };
 
   if (!accepting_.load()) {
-    RecordDemand(request.tenant, 0, request.app, request.graph);
+    RecordDemand(request.tenant, 0, request.graph);
     return reject(Status::FailedPrecondition("service is shutting down"));
   }
   api::AppRequest app_request = ToAppRequest(request);
@@ -185,8 +185,8 @@ Result<JobTicket> JobService::Submit(const JobRequest& request) {
       session_->ResolveGraph(app_request);
   if (!resolved.ok()) {
     // Rejected before a graph resolved: the request still counts toward
-    // the tenant/app request stream, under the "unresolved" fingerprint.
-    RecordDemand(request.tenant, 0, request.app, request.graph);
+    // the tenant's request stream, under the "unresolved" fingerprint.
+    RecordDemand(request.tenant, 0, request.graph);
     return reject(resolved.status());
   }
 
@@ -200,8 +200,7 @@ Result<JobTicket> JobService::Submit(const JobRequest& request) {
   // interaction: the admission gate and the eviction oracle both read
   // the estimate this record contributes to. A queue-full rejection
   // below does NOT re-record — the demand was observed once.
-  RecordDemand(request.tenant, job.graph->fingerprint(), request.app,
-               request.graph);
+  RecordDemand(request.tenant, job.graph->fingerprint(), request.graph);
 
   GuidanceStore* store = provider().store();
   if (store != nullptr && request.enable_rr) {
@@ -249,18 +248,17 @@ Result<JobTicket> JobService::SubmitMutation(const MutationRequest& request) {
   };
 
   if (!accepting_.load()) {
-    RecordDemand(request.tenant, 0, "mutate", request.graph);
+    RecordDemand(request.tenant, 0, request.graph);
     return reject(Status::FailedPrecondition("service is shutting down"));
   }
   std::shared_ptr<const Graph> current = session_->GetGraph(request.graph);
   if (current == nullptr) {
-    RecordDemand(request.tenant, 0, "mutate", request.graph);
+    RecordDemand(request.tenant, 0, request.graph);
     return reject(Status::NotFound("graph not registered: " + request.graph));
   }
   // Mutations are demand too: a tenant rewriting a graph is the clearest
   // signal the graph's guidance will be wanted again.
-  RecordDemand(request.tenant, current->fingerprint(), "mutate",
-               request.graph);
+  RecordDemand(request.tenant, current->fingerprint(), request.graph);
 
   QueuedJob job;
   job.request.tenant = request.tenant;
@@ -290,10 +288,8 @@ Result<JobTicket> JobService::SubmitMutation(const MutationRequest& request) {
 }
 
 void JobService::RecordDemand(const std::string& tenant, uint64_t fingerprint,
-                              const std::string& app,
                               const std::string& graph_name) {
-  HotnessTracker::RecordResult recorded =
-      tracker_.Record(tenant, fingerprint, app);
+  HotnessTracker::RecordResult recorded = tracker_.Record(tenant, fingerprint);
   std::lock_guard<std::mutex> lock(stats_mu_);
   if (fingerprint != 0 && !graph_name.empty()) {
     // First name wins: a symmetrized closure or mutated version keeps
@@ -548,7 +544,6 @@ JobServiceStats JobService::Stats() const {
   snapshot.pid = static_cast<int>(::getpid());
   snapshot.version = BuildVersionString();
   snapshot.sketch_observations = tracker_.Observations();
-  snapshot.sketch_decays = tracker_.Decays();
   snapshot.tenants_tracked = snapshot.tenants.size();
   return snapshot;
 }
@@ -560,9 +555,8 @@ std::string JobService::RenderHot(size_t k) const {
   {
     char head[96];
     std::snprintf(head, sizeof(head),
-                  "hot: k=%zu observations=%llu decays=%llu\n", k,
-                  static_cast<unsigned long long>(tracker_.Observations()),
-                  static_cast<unsigned long long>(tracker_.Decays()));
+                  "hot: k=%zu observations=%llu\n", k,
+                  static_cast<unsigned long long>(tracker_.Observations()));
     out += head;
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -624,9 +618,6 @@ void JobService::CollectMetrics() {
       recorder_.recorded());
   set("slfe_sketch_observations_total",
       "Requests streamed through the demand sketch", s.sketch_observations);
-  set("slfe_sketch_decays_total",
-      "Exponential-decay halvings applied to the demand sketch",
-      s.sketch_decays);
   set("slfe_guidance_admission_skips_total",
       "Guidance store writes skipped for cold graphs", s.cache.admission_skips);
   set("slfe_guidance_admission_promotions_total",

@@ -221,15 +221,13 @@ struct JobServiceStats {
   std::map<std::string, TenantStats> tenants;
   GuidanceProviderStats provider;
   GuidanceCacheStats cache;
-  /// Sketch plane: requests streamed through the HotnessTracker and
-  /// exponential-decay halvings applied to it so far.
+  /// Sketch plane: requests streamed through the HotnessTracker.
   uint64_t sketch_observations = 0;
-  uint64_t sketch_decays = 0;
   /// Exact per-tenant rows kept (== tenants.size()) vs. distinct tenants
   /// spilled past the max_tracked_tenants cap into sketch-only
   /// accounting. The spill count leans on count-min's never-underestimate
-  /// property for first-seen detection, so it is exact until decay or a
-  /// collision makes a new tenant look already-seen.
+  /// property for first-seen detection, so it is exact until a collision
+  /// makes a new tenant look already-seen.
   uint64_t tenants_tracked = 0;
   uint64_t tenants_sketched = 0;
   /// Aggregate accounting for the spilled tail — tracked rows plus this
@@ -404,7 +402,7 @@ class JobService {
   std::string RenderTraceJson(const std::string& selector) const;
 
   /// The `hot [k]` command payload: a `hot:` header (k, sketch
-  /// observations, decays) followed by one `hot <rank> graph=<name>
+  /// observations) followed by one `hot <rank> graph=<name>
   /// fp=<hex> est=<n>` line per tracked heavy-hitter graph, hottest
   /// first. Graphs whose fingerprint has no registered name (e.g. a
   /// pre-restart mutation lineage) render as graph=?.
@@ -459,7 +457,7 @@ class JobService {
   /// maintains the fingerprint->name map for `hot` rendering plus the
   /// distinct-spilled-tenant count. fingerprint == 0 = unresolved.
   void RecordDemand(const std::string& tenant, uint64_t fingerprint,
-                    const std::string& app, const std::string& graph_name);
+                    const std::string& graph_name);
   /// The tenant's exact stats row, or the sketched_tail aggregate once
   /// the max_tracked_tenants cap is reached. Caller holds stats_mu_.
   TenantStats& TenantRowLocked(const std::string& tenant);

@@ -199,8 +199,22 @@ ParsedCommand ParseCommandLine(const std::string& line) {
     return cmd;
   }
   if (command == "trace" && (tokens.size() == 1 || tokens.size() == 2)) {
+    if (tokens.size() == 2) {
+      // Same strictness as `hot`: strtoull would read `+5` as job 5 and
+      // wrap `-1` to 2^64-1, so only plain digits name a job.
+      const std::string& arg = tokens[1];
+      if (IsDigits(arg)) {
+        errno = 0;
+        (void)std::strtoull(arg.c_str(), nullptr, 10);
+        if (errno == ERANGE) {
+          return Error("trace job id '" + arg + "' out of range");
+        }
+      } else if (arg != "recent" && arg != "slow") {
+        return Error("bad trace selector '" + arg + "'");
+      }
+      cmd.trace_arg = arg;
+    }
     cmd.kind = ParsedCommand::Kind::kTrace;
-    if (tokens.size() == 2) cmd.trace_arg = tokens[1];
     return cmd;
   }
   if (command == "hot" && (tokens.size() == 1 || tokens.size() == 2)) {
@@ -307,10 +321,9 @@ std::string FormatStats(const JobServiceStats& stats) {
           static_cast<unsigned long long>(stats.cache.admission_skips),
           static_cast<unsigned long long>(stats.cache.admission_promotions));
   Appendf(&out,
-          "sketch: observations=%llu decays=%llu tenants_tracked=%llu "
+          "sketch: observations=%llu tenants_tracked=%llu "
           "tenants_sketched=%llu\n",
           static_cast<unsigned long long>(stats.sketch_observations),
-          static_cast<unsigned long long>(stats.sketch_decays),
           static_cast<unsigned long long>(stats.tenants_tracked),
           static_cast<unsigned long long>(stats.tenants_sketched));
   for (const auto& [tenant, t] : stats.tenants) {

@@ -37,7 +37,8 @@ struct ParsedCommand {
   /// For kMetrics: true = the JSON renderer (`metrics json`), false = the
   /// Prometheus text exposition (bare `metrics`).
   bool metrics_json = false;
-  /// For kTrace: "" (= recent), "recent", "slow", or a job id.
+  /// For kTrace: "" (= recent), "recent", "slow", or a job id (plain
+  /// digits; anything else is rejected at parse time).
   std::string trace_arg;
   /// For kHot: requested list length; bare `hot` leaves the default.
   size_t hot_k = 10;

@@ -21,7 +21,7 @@ struct NodeContext {
 
 /// Drives an SPMD program over N simulated nodes, each a dedicated OS
 /// thread with `threads_per_node` worker threads. This substitutes for
-/// `mpirun -np N` on the paper's cluster (DESIGN.md §2).
+/// `mpirun -np N` on the paper's cluster.
 class Cluster {
  public:
   Cluster(int num_nodes, int threads_per_node = 1);

@@ -5,73 +5,36 @@
 namespace slfe {
 namespace {
 
-// Marginal salts keep the four key families disjoint in the shared
-// sketch even when a tenant string happens to hash like an app string.
+// Marginal salts keep the two key families disjoint in the shared sketch
+// even when a tenant string happens to hash like a graph fingerprint.
 constexpr uint64_t kTenantSalt = 0x54656e616e744b79ull;  // "TenantKy"
 constexpr uint64_t kGraphSalt = 0x47726170684b6579ull;   // "GraphKey"
-constexpr uint64_t kAppSalt = 0x4170704b65794170ull;     // "AppKeyAp"
-constexpr uint64_t kTripleSalt = 0x547269706c654b79ull;  // "TripleKy"
-
-uint64_t StringDigest(const std::string& s) {
-  return Fnv1aBytes(s.data(), s.size(), kFnvBasis);
-}
 
 }  // namespace
 
 HotnessTracker::HotnessTracker(const HotnessOptions& options)
-    : cm_(options.sketch),
-      cs_(options.sketch),
-      topk_(options.topk),
-      decay_interval_(options.decay_interval) {}
+    : cm_(options.sketch), topk_(options.topk) {}
 
 uint64_t HotnessTracker::TenantKey(const std::string& tenant) {
-  return SketchMix64(StringDigest(tenant) ^ kTenantSalt);
+  return SketchMix64(Fnv1aBytes(tenant.data(), tenant.size(), kFnvBasis) ^
+                     kTenantSalt);
 }
 
 uint64_t HotnessTracker::GraphKey(uint64_t graph_fingerprint) {
   return SketchMix64(graph_fingerprint ^ kGraphSalt);
 }
 
-uint64_t HotnessTracker::AppKey(const std::string& app) {
-  return SketchMix64(StringDigest(app) ^ kAppSalt);
-}
-
-uint64_t HotnessTracker::TripleKey(const std::string& tenant,
-                                   uint64_t graph_fingerprint,
-                                   const std::string& app) {
-  uint64_t h = Fnv1aMix(kTripleSalt, StringDigest(tenant));
-  h = Fnv1aMix(h, graph_fingerprint);
-  h = Fnv1aMix(h, StringDigest(app));
-  return SketchMix64(h);
-}
-
 HotnessTracker::RecordResult HotnessTracker::Record(
-    const std::string& tenant, uint64_t graph_fingerprint,
-    const std::string& app) {
+    const std::string& tenant, uint64_t graph_fingerprint) {
   RecordResult result;
   const uint64_t tenant_key = TenantKey(tenant);
   result.first_tenant = cm_.Estimate(tenant_key) == 0;
   cm_.Update(tenant_key);
-  cm_.Update(AppKey(app));
-  cm_.Update(TripleKey(tenant, graph_fingerprint, app));
   if (graph_fingerprint != 0) {
-    const uint64_t graph_key = GraphKey(graph_fingerprint);
-    result.graph_estimate = cm_.Update(graph_key);
-    cs_.Update(graph_key);
+    result.graph_estimate = cm_.Update(GraphKey(graph_fingerprint));
     topk_.Offer(graph_fingerprint, result.graph_estimate);
   }
-  const uint64_t seen =
-      observations_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (decay_interval_ != 0 && seen % decay_interval_ == 0) {
-    // Halve all three structures in one step so their estimates stay
-    // mutually comparable; the mutex keeps overlapping crossings from
-    // double-halving.
-    std::lock_guard<std::mutex> lock(decay_mu_);
-    cm_.Halve();
-    cs_.Halve();
-    topk_.Halve();
-    decays_.fetch_add(1, std::memory_order_relaxed);
-  }
+  observations_.fetch_add(1, std::memory_order_relaxed);
   return result;
 }
 
@@ -81,14 +44,6 @@ uint64_t HotnessTracker::EstimateGraph(uint64_t graph_fingerprint) const {
 
 uint64_t HotnessTracker::EstimateTenant(const std::string& tenant) const {
   return cm_.Estimate(TenantKey(tenant));
-}
-
-uint64_t HotnessTracker::EstimateApp(const std::string& app) const {
-  return cm_.Estimate(AppKey(app));
-}
-
-int64_t HotnessTracker::UnbiasedGraph(uint64_t graph_fingerprint) const {
-  return cs_.Estimate(GraphKey(graph_fingerprint));
 }
 
 std::vector<HotGraph> HotnessTracker::TopGraphs(size_t limit) const {

@@ -1,26 +1,18 @@
 #pragma once
 
 // HotnessTracker: the facade the service layer streams every request
-// through, keyed by (tenant, graph-fingerprint, app).
+// through, keyed by (tenant, graph-fingerprint).
 //
-// One conservative-update count-min sketch holds four salted marginals
-// per recorded request — the (tenant, graph, app) triple plus each
-// single-dimension marginal — so EstimateTenant / EstimateGraph /
-// EstimateTriple all read the same bounded structure. A companion
-// count-sketch tracks the graph marginal unbiased (for telemetry that
-// sums across graphs), and a hashheap top-k keeps the current heavy-
+// One conservative-update count-min sketch holds two salted marginals
+// per recorded request — the tenant (read for the first-seen-tenant
+// count) and the graph (read for store admission, the GC eviction order
+// and the `hot` ranking) — so EstimateTenant / EstimateGraph read the
+// same bounded structure. A hashheap top-k keeps the current heavy-
 // hitter graphs ready for the `hot` command and the eviction oracle.
-//
-// Decay: every `decay_interval` recorded requests (0 = off, the
-// default — existing deterministic tests stay deterministic), the
-// count-min, count-sketch, and top-k all halve in the same step, so
-// their estimates remain mutually comparable. See decay.h for the
-// standalone windowing wrapper; the tracker inlines the same policy
-// because three structures must decay atomically with respect to each
-// other.
+// Counts never decay: estimates are lifetime totals.
 
+#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -33,8 +25,6 @@ struct HotnessOptions {
   SketchOptions sketch;
   // Heavy-hitter slots for TopGraphs / the `hot` command.
   size_t topk = 32;
-  // Recorded requests between exponential-decay halvings; 0 disables.
-  uint64_t decay_interval = 0;
 };
 
 struct HotGraph {
@@ -54,24 +44,19 @@ class HotnessTracker {
     uint64_t graph_estimate = 0;
     // True when the tenant marginal was 0 before this record — count-min
     // never underestimates, so 0 proves the tenant is genuinely unseen.
-    // (Approximate in the other direction: collisions or decay can make
-    // a first-seen tenant look already-seen.)
+    // (Approximate in the other direction: collisions can make a
+    // first-seen tenant look already-seen.)
     bool first_tenant = false;
   };
 
   // Stream one request through all structures. fingerprint == 0 means
-  // "graph unresolved" (e.g. a rejected submit): tenant/app marginals
-  // still count, but the graph marginal and top-k are skipped.
-  RecordResult Record(const std::string& tenant, uint64_t graph_fingerprint,
-                      const std::string& app);
+  // "graph unresolved" (e.g. a rejected submit): the tenant marginal
+  // still counts, but the graph marginal and top-k are skipped.
+  RecordResult Record(const std::string& tenant, uint64_t graph_fingerprint);
 
-  // Point estimates (count-min: never underestimate the decayed truth).
+  // Point estimates (count-min: never underestimate the truth).
   uint64_t EstimateGraph(uint64_t graph_fingerprint) const;
   uint64_t EstimateTenant(const std::string& tenant) const;
-  uint64_t EstimateApp(const std::string& app) const;
-
-  // Unbiased graph estimate from the companion count-sketch.
-  int64_t UnbiasedGraph(uint64_t graph_fingerprint) const;
 
   // Current heavy-hitter graphs, hottest first. limit == 0 -> all slots.
   std::vector<HotGraph> TopGraphs(size_t limit = 0) const;
@@ -79,7 +64,6 @@ class HotnessTracker {
   uint64_t Observations() const {
     return observations_.load(std::memory_order_relaxed);
   }
-  uint64_t Decays() const { return decays_.load(std::memory_order_relaxed); }
   size_t SketchWidth() const { return cm_.width(); }
   size_t SketchDepth() const { return cm_.depth(); }
   size_t TopKCapacity() const { return topk_.k(); }
@@ -88,19 +72,11 @@ class HotnessTracker {
   // tracker against raw sketches fed the same key stream).
   static uint64_t TenantKey(const std::string& tenant);
   static uint64_t GraphKey(uint64_t graph_fingerprint);
-  static uint64_t AppKey(const std::string& app);
-  static uint64_t TripleKey(const std::string& tenant,
-                            uint64_t graph_fingerprint,
-                            const std::string& app);
 
  private:
   CountMinSketch cm_;
-  CountSketch cs_;
   TopK topk_;
-  const uint64_t decay_interval_;
   std::atomic<uint64_t> observations_{0};
-  std::atomic<uint64_t> decays_{0};
-  std::mutex decay_mu_;
 };
 
 }  // namespace slfe

@@ -74,58 +74,4 @@ uint64_t CountMinSketch::Estimate(uint64_t key) const {
   return est;
 }
 
-void CountMinSketch::Halve() {
-  for (auto& cell : cells_) {
-    uint64_t cur = cell.load(std::memory_order_relaxed);
-    while (!cell.compare_exchange_weak(cur, cur / 2,
-                                       std::memory_order_relaxed)) {
-    }
-  }
-  uint64_t cur = total_.load(std::memory_order_relaxed);
-  while (!total_.compare_exchange_weak(cur, cur / 2,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-CountSketch::CountSketch(const SketchOptions& options)
-    : width_(options.ResolveWidth()),
-      depth_(std::min<size_t>(16, options.ResolveDepth())),
-      seeds_(depth_),
-      sign_seeds_(depth_),
-      cells_(width_ * depth_) {
-  for (size_t row = 0; row < depth_; ++row) {
-    seeds_[row] = RowSeed(0x436f756e74536b65ull, row);       // "CountSke"
-    sign_seeds_[row] = RowSeed(0x5369676e48617368ull, row);  // "SignHash"
-  }
-}
-
-void CountSketch::Update(uint64_t key, int64_t count) {
-  for (size_t row = 0; row < depth_; ++row) {
-    cells_[CellIndex(row, key)].fetch_add(Sign(row, key) * count,
-                                          std::memory_order_relaxed);
-  }
-}
-
-int64_t CountSketch::Estimate(uint64_t key) const {
-  int64_t vals[16] = {};
-  for (size_t row = 0; row < depth_; ++row) {
-    vals[row] = Sign(row, key) *
-                cells_[CellIndex(row, key)].load(std::memory_order_relaxed);
-  }
-  std::nth_element(vals, vals + depth_ / 2, vals + depth_);
-  int64_t hi = vals[depth_ / 2];
-  if (depth_ % 2 == 1) return hi;
-  std::nth_element(vals, vals + depth_ / 2 - 1, vals + depth_ / 2);
-  return (vals[depth_ / 2 - 1] + hi) / 2;
-}
-
-void CountSketch::Halve() {
-  for (auto& cell : cells_) {
-    int64_t cur = cell.load(std::memory_order_relaxed);
-    while (!cell.compare_exchange_weak(cur, cur / 2,
-                                       std::memory_order_relaxed)) {
-    }
-  }
-}
-
 }  // namespace slfe

@@ -1,28 +1,22 @@
 #pragma once
 
-// Frequency sketches for the request-stream telemetry plane.
+// Frequency sketch for the request-stream telemetry plane.
 //
-// Two estimators over 64-bit keys, both sized from an (epsilon, delta)
+// CountMinSketch over 64-bit keys, sized from an (epsilon, delta)
 // accuracy contract — width = ceil(e / epsilon) columns, depth =
 // ceil(ln(1 / delta)) rows — or from explicit dimensions when the
-// caller wants exact control:
-//
-//  - CountMinSketch: biased-high point estimates with the classic
-//    guarantee  estimate <= exact + epsilon * N  at confidence
-//    1 - delta (N = total stream weight). Updates are *conservative*:
-//    only the cells that currently hold the row minimum are raised, so
-//    collisions inflate estimates far less than the textbook update.
-//  - CountSketch: signed hashing with a median-of-rows estimator;
-//    unbiased, so summing estimates across disjoint keys does not
-//    systematically overshoot the way count-min sums do.
+// caller wants exact control. Point estimates are biased high with the
+// classic guarantee  estimate <= exact + epsilon * N  at confidence
+// 1 - delta (N = total stream weight). Updates are *conservative*: only
+// the cells that currently hold the row minimum are raised, so
+// collisions inflate estimates far less than the textbook update.
 //
 // Concurrency: cells are std::atomic and estimates are wait-free reads.
 // Conservative update needs a read-modify-write over a whole row set,
 // so same-key updates serialize on one of kStripes key-hashed mutexes;
 // cross-key updates that collide in a cell only ever *raise* it
 // (CAS-max), preserving the never-underestimate invariant of count-min
-// under full concurrency. Halve() decays every cell by one bit for the
-// exponential windowing wrapper (see decay.h).
+// under full concurrency.
 
 #include <array>
 #include <atomic>
@@ -71,11 +65,7 @@ class CountMinSketch {
   // Wait-free; never underestimates the true count.
   uint64_t Estimate(uint64_t key) const;
 
-  // Exponential decay step: halves every cell (and the stream total).
-  void Halve();
-
-  // Total stream weight N ingested since construction (halved by
-  // Halve() so the epsilon*N bound tracks the decayed window).
+  // Total stream weight N ingested since construction.
   uint64_t TotalWeight() const { return total_.load(std::memory_order_relaxed); }
 
   size_t width() const { return width_; }
@@ -96,40 +86,6 @@ class CountMinSketch {
   std::vector<std::atomic<uint64_t>> cells_;
   std::atomic<uint64_t> total_{0};
   std::array<std::mutex, kStripes> stripes_;
-};
-
-class CountSketch {
- public:
-  explicit CountSketch(const SketchOptions& options = SketchOptions());
-
-  CountSketch(const CountSketch&) = delete;
-  CountSketch& operator=(const CountSketch&) = delete;
-
-  void Update(uint64_t key, int64_t count = 1);
-
-  // Median of the signed row estimates; unbiased for the true count.
-  int64_t Estimate(uint64_t key) const;
-
-  // Exponential decay step (arithmetic halving toward zero).
-  void Halve();
-
-  size_t width() const { return width_; }
-  size_t depth() const { return depth_; }
-
- private:
-  size_t CellIndex(size_t row, uint64_t key) const {
-    return row * width_ + SketchMix64(key ^ seeds_[row]) % width_;
-  }
-  // Sign hash independent of the cell hash (distinct seed stream).
-  int64_t Sign(size_t row, uint64_t key) const {
-    return (SketchMix64(key ^ sign_seeds_[row]) & 1) ? 1 : -1;
-  }
-
-  size_t width_;
-  size_t depth_;
-  std::vector<uint64_t> seeds_;
-  std::vector<uint64_t> sign_seeds_;
-  std::vector<std::atomic<int64_t>> cells_;
 };
 
 }  // namespace slfe

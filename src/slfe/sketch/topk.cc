@@ -60,11 +60,6 @@ std::vector<HeavyHitter> TopK::Items(size_t limit) const {
   return items;
 }
 
-void TopK::Halve() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (HeavyHitter& hh : heap_) hh.estimate /= 2;
-}
-
 size_t TopK::Size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return heap_.size();

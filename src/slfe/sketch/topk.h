@@ -33,17 +33,14 @@ class TopK {
   TopK& operator=(const TopK&) = delete;
 
   // Record that `key` now has `estimate` weight. Tracked keys are
-  // updated in place (up or down — decay lowers estimates); untracked
-  // keys enter when the heap has room or they beat the current minimum.
+  // updated in place (up, or down when racing updates deliver a stale
+  // estimate last); untracked keys enter when the heap has room or they
+  // beat the current minimum.
   void Offer(uint64_t key, uint64_t estimate);
 
   // Heavy hitters sorted by descending estimate (key breaks ties so
   // renders are deterministic). `limit == 0` means all tracked.
   std::vector<HeavyHitter> Items(size_t limit = 0) const;
-
-  // Exponential decay step: halves every tracked estimate. Halving is
-  // monotone so the heap order is preserved in place.
-  void Halve();
 
   size_t k() const { return k_; }
   size_t Size() const;

@@ -1,11 +1,11 @@
-// Randomized differential harness for the guidance generation strategies:
-// on seeded random graphs across shapes (chains, stars, RMAT, disconnected
-// unions), the serial reference, the uniform-parallel sweep, and the
-// DistGraph-range partitioned sweep must produce bit-identical guidance —
-// every last_iter, every visited flag, and the depth — for every worker
-// count, every forced direction policy, and every root-selection flavor.
-// This is the lockdown that lets the provider treat the strategy as a pure
-// performance choice (GuidanceProviderOptions::generation_strategy).
+// Randomized differential harness for guidance generation: on seeded
+// random graphs across shapes (chains, stars, RMAT, disconnected unions,
+// cycle-bound rings, grids), the serial reference and the DistGraph-range
+// partitioned sweep must produce bit-identical guidance — every last_iter,
+// every visited flag, every level, and the depth — for every worker count,
+// every forced direction policy, and every root-selection flavor. This is
+// the lockdown that lets the provider pick the sweep by worker count alone
+// (GuidanceProviderOptions::generation_threads).
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@
 namespace slfe {
 namespace {
 
-enum class Shape { kChain, kStar, kRmat, kDisconnected };
+enum class Shape { kChain, kStar, kRmat, kDisconnected, kCycle, kGrid };
 
 struct HarnessParam {
   Shape shape;
@@ -34,6 +34,8 @@ std::string ParamName(const ::testing::TestParamInfo<HarnessParam>& info) {
   const char* shape = info.param.shape == Shape::kChain   ? "Chain"
                       : info.param.shape == Shape::kStar  ? "Star"
                       : info.param.shape == Shape::kRmat  ? "Rmat"
+                      : info.param.shape == Shape::kCycle ? "Cycle"
+                      : info.param.shape == Shape::kGrid  ? "Grid"
                                                           : "Disconnected";
   return std::string(shape) + "_seed" + std::to_string(info.param.seed);
 }
@@ -66,6 +68,17 @@ Graph MakeShapeGraph(const HarnessParam& p) {
       e.set_num_vertices(160);  // 141..159 isolated
       return Graph::FromEdges(e);
     }
+    case Shape::kCycle: {
+      // Directed ring: no zero-in-degree vertex (source roots fall back to
+      // vertex 0) and the maximal propagation depth for its size.
+      VertexId n = static_cast<VertexId>(40 + p.seed * 11 % 37);
+      EdgeList e(n);
+      for (VertexId v = 0; v < n; ++v) e.Add(v, (v + 1) % n);
+      return Graph::FromEdges(e);
+    }
+    case Shape::kGrid:
+      return Graph::FromEdges(
+          GenerateGrid(static_cast<VertexId>(10 + p.seed), 13));
   }
   return Graph();
 }
@@ -99,11 +112,11 @@ void ExpectBitIdentical(const RRGuidance& want, const RRGuidance& got,
   }
 }
 
-/// The differential core: serial == uniform-parallel == partitioned for
-/// every worker count and both forced directions plus the adaptive
-/// default.
-void CheckAllStrategies(const Graph& g, const std::vector<VertexId>& roots,
-                        const std::string& label) {
+/// The differential core: serial == partitioned for every worker count
+/// and both forced directions plus the adaptive default, and through the
+/// Generate dispatcher the provider uses.
+void CheckSweeps(const Graph& g, const std::vector<VertexId>& roots,
+                 const std::string& label) {
   if (roots.empty()) return;
   RRGuidance serial = RRGuidance::GenerateSerial(g, roots);
   for (size_t workers : {2u, 3u, 5u}) {
@@ -111,9 +124,6 @@ void CheckAllStrategies(const Graph& g, const std::vector<VertexId>& roots,
     for (double fraction : {0.05, 0.0, 1e18}) {
       std::string tag = label + " workers=" + std::to_string(workers) +
                         " fraction=" + std::to_string(fraction);
-      ExpectBitIdentical(
-          serial, RRGuidance::GenerateParallel(g, roots, pool, fraction),
-          tag + " uniform");
       ExpectBitIdentical(
           serial, RRGuidance::GeneratePartitioned(g, roots, pool, fraction),
           tag + " partitioned");
@@ -124,40 +134,36 @@ void CheckAllStrategies(const Graph& g, const std::vector<VertexId>& roots,
   ExpectBitIdentical(serial,
                      RRGuidance::GeneratePartitioned(g, roots, single),
                      label + " partitioned single worker");
-  // The strategy dispatcher used by the provider.
+  // The dispatcher: partitioned with a multi-worker pool, serial with a
+  // 1-worker pool or none.
   ThreadPool pool(4);
-  ExpectBitIdentical(
-      serial,
-      RRGuidance::GenerateWithStrategy(
-          g, roots, GuidanceGenerationStrategy::kUniformParallel, &pool),
-      label + " dispatch uniform");
-  ExpectBitIdentical(
-      serial,
-      RRGuidance::GenerateWithStrategy(
-          g, roots, GuidanceGenerationStrategy::kPartitionedParallel, &pool),
-      label + " dispatch partitioned");
-  ExpectBitIdentical(serial,
-                     RRGuidance::GenerateWithStrategy(
-                         g, roots, GuidanceGenerationStrategy::kAuto, &pool),
-                     label + " dispatch auto");
-  ExpectBitIdentical(
-      serial,
-      RRGuidance::GenerateWithStrategy(
-          g, roots, GuidanceGenerationStrategy::kPartitionedParallel,
-          nullptr),
-      label + " dispatch null pool");
+  ExpectBitIdentical(serial, RRGuidance::Generate(g, roots, &pool),
+                     label + " dispatch pool");
+  ExpectBitIdentical(serial, RRGuidance::Generate(g, roots, &single),
+                     label + " dispatch single worker");
+  ExpectBitIdentical(serial, RRGuidance::Generate(g, roots),
+                     label + " dispatch null pool");
 }
 
 class GuidancePartitionTest : public ::testing::TestWithParam<HarnessParam> {
 };
 
-TEST_P(GuidancePartitionTest, AllStrategiesBitIdentical) {
+TEST_P(GuidancePartitionTest, SerialAndPartitionedBitIdentical) {
   Graph g = MakeShapeGraph(GetParam());
   uint64_t seed = GetParam().seed;
-  CheckAllStrategies(g, {0}, "single root");
-  CheckAllStrategies(g, RandomRoots(g, seed, 5), "random roots");
-  CheckAllStrategies(g, SelectSourceRoots(g), "source roots");
-  CheckAllStrategies(g, SelectLocalMinimaRoots(g), "local minima roots");
+  VertexId last = g.num_vertices() - 1;
+  CheckSweeps(g, {0}, "single root");
+  CheckSweeps(g, RandomRoots(g, seed, 5), "random roots");
+  CheckSweeps(g, {last, 0, last, last, 0}, "duplicate roots");
+  CheckSweeps(g, SelectSourceRoots(g), "source roots");
+  CheckSweeps(g, SelectLocalMinimaRoots(g), "local minima roots");
+}
+
+TEST_P(GuidancePartitionTest, GenerateAllRootsWithPoolMatchesSerial) {
+  Graph g = MakeShapeGraph(GetParam());
+  ThreadPool pool(4);
+  ExpectBitIdentical(RRGuidance::GenerateAllRoots(g),
+                     RRGuidance::GenerateAllRoots(g, &pool), "all roots");
 }
 
 TEST_P(GuidancePartitionTest, PartitionRangesMatchDistGraph) {
@@ -176,32 +182,27 @@ TEST_P(GuidancePartitionTest, PartitionRangesMatchDistGraph) {
   }
 }
 
-TEST_P(GuidancePartitionTest, ProviderStrategiesAgree) {
-  // End to end through the provider: three providers configured with the
-  // three explicit strategies hand out byte-equal guidance for the same
-  // request.
+TEST_P(GuidancePartitionTest, ProviderWorkerCountsAgree) {
+  // End to end through the provider: a 1-worker provider (serial sweep)
+  // and a 3-worker one (partitioned sweep) hand out byte-equal guidance
+  // for the same request.
   Graph g = MakeShapeGraph(GetParam());
   std::vector<VertexId> roots = SelectSourceRoots(g);
   if (roots.empty()) return;
 
-  auto acquire = [&](GuidanceGenerationStrategy strategy) {
+  auto acquire = [&](size_t threads) {
     GuidanceProviderOptions opt;
-    opt.generation_threads = 3;
-    opt.generation_strategy = strategy;
+    opt.generation_threads = threads;
     GuidanceProvider provider(opt);
     GuidanceAcquisition a = provider.AcquireForRoots(g, roots);
-    EXPECT_TRUE(a) << GuidanceGenerationStrategyName(strategy);
+    EXPECT_TRUE(a) << "generation_threads=" << threads;
     EXPECT_EQ(provider.stats().generations, 1u);
     return a.guidance;
   };
-  auto serial = acquire(GuidanceGenerationStrategy::kSerial);
-  auto uniform = acquire(GuidanceGenerationStrategy::kUniformParallel);
-  auto partitioned =
-      acquire(GuidanceGenerationStrategy::kPartitionedParallel);
+  auto serial = acquire(1);
+  auto partitioned = acquire(3);
   ASSERT_NE(serial, nullptr);
-  ASSERT_NE(uniform, nullptr);
   ASSERT_NE(partitioned, nullptr);
-  ExpectBitIdentical(*serial, *uniform, "provider uniform");
   ExpectBitIdentical(*serial, *partitioned, "provider partitioned");
 }
 
@@ -228,8 +229,8 @@ TEST(GuidancePartitionEdgeCases, MoreWorkersThanVertices) {
 }
 
 TEST(GuidancePartitionEdgeCases, BookkeepingIsAccounted) {
-  // The fused-merge claim, observable: both parallel strategies report a
-  // bookkeeping share, and it never exceeds total generation time.
+  // The partitioned sweep reports a bookkeeping share, and it never
+  // exceeds total generation time; the serial sweep has none.
   RmatOptions opt;
   opt.num_vertices = 2048;
   opt.num_edges = 12000;
@@ -238,12 +239,9 @@ TEST(GuidancePartitionEdgeCases, BookkeepingIsAccounted) {
   ThreadPool pool(4);
   RRGuidance serial = RRGuidance::GenerateSerial(g, {0});
   EXPECT_EQ(serial.bookkeeping_seconds(), 0.0);
-  for (const RRGuidance& rrg :
-       {RRGuidance::GenerateParallel(g, {0}, pool),
-        RRGuidance::GeneratePartitioned(g, {0}, pool)}) {
-    EXPECT_GT(rrg.bookkeeping_seconds(), 0.0);
-    EXPECT_LE(rrg.bookkeeping_seconds(), rrg.generation_seconds());
-  }
+  RRGuidance part = RRGuidance::GeneratePartitioned(g, {0}, pool);
+  EXPECT_GT(part.bookkeeping_seconds(), 0.0);
+  EXPECT_LE(part.bookkeeping_seconds(), part.generation_seconds());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -256,7 +254,11 @@ INSTANTIATE_TEST_SUITE_P(
                       HarnessParam{Shape::kRmat, 2},
                       HarnessParam{Shape::kRmat, 3},
                       HarnessParam{Shape::kDisconnected, 1},
-                      HarnessParam{Shape::kDisconnected, 2}),
+                      HarnessParam{Shape::kDisconnected, 2},
+                      HarnessParam{Shape::kCycle, 1},
+                      HarnessParam{Shape::kCycle, 2},
+                      HarnessParam{Shape::kGrid, 1},
+                      HarnessParam{Shape::kGrid, 2}),
     ParamName);
 
 }  // namespace

@@ -178,15 +178,13 @@ TEST_P(GuidanceRepairTest, RepairedEqualsRegeneratedAcrossMutationChains) {
                    /*allow_growth=*/false);
 }
 
-TEST_P(GuidanceRepairTest, LevelsPlaneIdenticalAcrossGenerationStrategies) {
-  // Repair seeds on whatever strategy generated the predecessor, so the
-  // levels plane must be strategy-independent the same way last_iter is.
+TEST_P(GuidanceRepairTest, LevelsPlaneIdenticalAcrossSweeps) {
+  // Repair seeds on whichever sweep generated the predecessor, so the
+  // levels plane must be sweep-independent the same way last_iter is.
   Graph g = MakeShapeGraph(GetParam());
   std::vector<VertexId> roots = RandomRoots(g, GetParam().seed, 4);
   RRGuidance serial = RRGuidance::GenerateSerial(g, roots);
   ThreadPool pool(3);
-  ExpectGuidanceIdentical(serial, RRGuidance::GenerateParallel(g, roots, pool),
-                          "uniform levels");
   ExpectGuidanceIdentical(serial,
                           RRGuidance::GeneratePartitioned(g, roots, pool),
                           "partitioned levels");

@@ -1040,11 +1040,9 @@ TEST(JobServiceSketchTest, StreamsEveryRequestAndRanksHotGraphs) {
 
   JobServiceStats stats = service.Stats();
   EXPECT_EQ(stats.sketch_observations, 7u);
-  EXPECT_EQ(stats.sketch_decays, 0u);
   EXPECT_EQ(stats.tenants_tracked, 2u);
   EXPECT_EQ(stats.tenants_sketched, 0u);
   EXPECT_GE(service.hotness().EstimateTenant("acme"), 5u);
-  EXPECT_GE(service.hotness().EstimateApp("sssp"), 7u);
 
   // The `hot` surface: ranked, named, counted.
   std::string hot = service.RenderHot(3);

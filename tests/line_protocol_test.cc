@@ -178,6 +178,29 @@ TEST(ParseCommandLineTest, HotParsesOptionalCount) {
   EXPECT_EQ(ParseCommandLine("hot 3 4\n").kind, Kind::kError);
 }
 
+TEST(ParseCommandLineTest, TraceSelectorFailsClosed) {
+  ParsedCommand cmd = ParseCommandLine("trace\n");
+  ASSERT_EQ(cmd.kind, Kind::kTrace);
+  EXPECT_EQ(cmd.trace_arg, "");
+  for (const char* selector : {"recent", "slow", "5", "18446744073709551615"}) {
+    cmd = ParseCommandLine(std::string("trace ") + selector + "\n");
+    ASSERT_EQ(cmd.kind, Kind::kTrace) << selector;
+    EXPECT_EQ(cmd.trace_arg, selector);
+  }
+
+  // Regression: the selector reached strtoull unchecked, so `trace +5`
+  // served job 5 and `trace -1` wrapped to job 2^64-1. Anything but
+  // recent, slow or plain digits now gets a terminated reject line.
+  for (const char* bad : {"+5", "-1", "5x", "0x10", "1.5", "Recent",
+                          "99999999999999999999999"}) {
+    cmd = ParseCommandLine(std::string("trace ") + bad);  // no '\n'
+    ASSERT_EQ(cmd.kind, Kind::kError) << bad;
+    EXPECT_EQ(cmd.error.rfind("reject: ", 0), 0u) << cmd.error;
+    EXPECT_EQ(cmd.error.back(), '\n') << bad;
+  }
+  EXPECT_EQ(ParseCommandLine("trace 5 6\n").kind, Kind::kError);
+}
+
 // ------------------------------------------------------------ FormatResult
 
 JobResult BaseResult() {
@@ -242,7 +265,7 @@ TEST(FormatStatsTest, SketchLineAndTailRowRenderOnlyWhenPresent) {
   stats.sketch_observations = 17;
   stats.tenants_tracked = 2;
   std::string block = FormatStats(stats);
-  EXPECT_NE(block.find("sketch: observations=17 decays=0 tenants_tracked=2 "
+  EXPECT_NE(block.find("sketch: observations=17 tenants_tracked=2 "
                        "tenants_sketched=0\n"),
             std::string::npos)
       << block;

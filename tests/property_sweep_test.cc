@@ -174,39 +174,39 @@ INSTANTIATE_TEST_SUITE_P(
     ParamName);
 
 // ---------------------------------------------------------------------------
-// Guidance strategy cross: every guidance-using app, run guided vs
-// unguided, across (engine shape x generation strategy) on the same seeded
-// random topologies. Min/max apps must agree exactly; arithmetic apps
-// within the tolerances their finish-early freezing is specified to keep
-// (the same bars apps_equivalence_test holds the defaults to). Because all
-// three strategies produce bit-identical guidance, any strategy-dependent
-// result difference here is an engine-integration bug, not a sweep bug.
+// Guidance sweep cross: every guidance-using app, run guided vs unguided,
+// across (engine shape x generation workers) on the same seeded random
+// topologies — 1 worker runs the serial sweep, 3 the partitioned one.
+// Min/max apps must agree exactly; arithmetic apps within the tolerances
+// their finish-early freezing is specified to keep (the same bars
+// apps_equivalence_test holds the defaults to). Because both sweeps
+// produce bit-identical guidance, any worker-count-dependent result
+// difference here is an engine-integration bug, not a sweep bug.
 // ---------------------------------------------------------------------------
 
-/// (topology seed) x (generation strategy): the engine shapes are crossed
+/// (topology seed) x (generation workers): the engine shapes are crossed
 /// inside the test body, one cluster size per app class.
 struct CrossParam {
   SweepParam topology;
-  GuidanceGenerationStrategy strategy;
+  size_t generation_threads;
 };
 
 std::string CrossParamName(
     const ::testing::TestParamInfo<CrossParam>& info) {
   ::testing::TestParamInfo<SweepParam> inner(info.param.topology, 0);
-  return ParamName(inner) + "_" +
-         GuidanceGenerationStrategyName(info.param.strategy);
+  return ParamName(inner) + "_threads" +
+         std::to_string(info.param.generation_threads);
 }
 
-class GuidanceStrategyCrossTest
+class GuidanceSweepCrossTest
     : public ::testing::TestWithParam<CrossParam> {
  protected:
-  /// A private provider pinned to the strategy under test, so the run
-  /// cannot hit guidance generated by another strategy (or another test)
+  /// A private provider pinned to the worker count under test, so the run
+  /// cannot hit guidance generated by the other sweep (or another test)
   /// through the global provider.
   AppConfig GuidedConfig(int num_nodes) {
     GuidanceProviderOptions opt;
-    opt.generation_threads = 3;
-    opt.generation_strategy = GetParam().strategy;
+    opt.generation_threads = GetParam().generation_threads;
     provider_ = std::make_unique<GuidanceProvider>(opt);
     AppConfig cfg;
     cfg.num_nodes = num_nodes;
@@ -225,7 +225,7 @@ class GuidanceStrategyCrossTest
   std::unique_ptr<GuidanceProvider> provider_;
 };
 
-TEST_P(GuidanceStrategyCrossTest, MinMaxAppsExactAcrossEngines) {
+TEST_P(GuidanceSweepCrossTest, MinMaxAppsExactAcrossEngines) {
   Graph g = MakeGraph(GetParam().topology, /*symmetric=*/false);
   Graph gsym = MakeGraph(GetParam().topology, /*symmetric=*/true);
   for (int nodes : {1, 3}) {
@@ -269,7 +269,7 @@ TEST_P(GuidanceStrategyCrossTest, MinMaxAppsExactAcrossEngines) {
   }
 }
 
-TEST_P(GuidanceStrategyCrossTest, ArithmeticAppsWithinToleranceAcrossEngines) {
+TEST_P(GuidanceSweepCrossTest, ArithmeticAppsWithinToleranceAcrossEngines) {
   Graph g = MakeGraph(GetParam().topology, /*symmetric=*/false);
   VertexId n = g.num_vertices();
   std::vector<float> ones(n, 1.0f);
@@ -327,17 +327,14 @@ std::vector<CrossParam> CrossParams() {
   for (SweepParam topology :
        {SweepParam{Family::kRmat, 1}, SweepParam{Family::kRmat, 2},
         SweepParam{Family::kErdosRenyi, 1}, SweepParam{Family::kGrid, 1}}) {
-    for (GuidanceGenerationStrategy strategy :
-         {GuidanceGenerationStrategy::kSerial,
-          GuidanceGenerationStrategy::kUniformParallel,
-          GuidanceGenerationStrategy::kPartitionedParallel}) {
-      params.push_back(CrossParam{topology, strategy});
+    for (size_t threads : {1u, 3u}) {
+      params.push_back(CrossParam{topology, threads});
     }
   }
   return params;
 }
 
-INSTANTIATE_TEST_SUITE_P(StrategyCross, GuidanceStrategyCrossTest,
+INSTANTIATE_TEST_SUITE_P(SweepCross, GuidanceSweepCrossTest,
                          ::testing::ValuesIn(CrossParams()),
                          CrossParamName);
 
