@@ -1,15 +1,17 @@
-// Component microbenchmarks (google-benchmark): CSR construction, chunk
-// partitioning, RR guidance generation, bitmap throughput, generator
-// throughput, and the engine's two propagation modes. These bound the
-// per-edge costs every experiment above is built on.
+// Component microbenchmarks (google-benchmark): CSR construction, graph
+// delta application, chunk partitioning, RR guidance generation, bitmap
+// throughput, generator throughput, and the engine's two propagation
+// modes. These bound the per-edge costs every experiment above is built on.
 
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <random>
 
 #include "slfe/common/bitmap.h"
 #include "slfe/core/rr_guidance.h"
 #include "slfe/engine/dist_graph.h"
+#include "slfe/graph/delta.h"
 #include "slfe/graph/generators.h"
 #include "slfe/graph/partitioner.h"
 
@@ -43,6 +45,38 @@ void BM_CsrBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * e.num_edges());
 }
 BENCHMARK(BM_CsrBuild)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 19);
+
+/// 16 deletions of live edges and 16 insertions between random vertices:
+/// the mutation batch of slfebench's mutate-query workload.
+GraphDelta BenchDelta(const Graph& g) {
+  std::mt19937_64 rng(7);
+  const VertexId n = g.num_vertices();
+  GraphDelta delta;
+  while (delta.erase.size() < 16) {
+    VertexId v = static_cast<VertexId>(rng() % n);
+    if (g.out_degree(v) == 0) continue;
+    EdgeId e = g.out().begin(v) + rng() % g.out_degree(v);
+    delta.erase.emplace_back(v, g.out().neighbor(e));
+  }
+  while (delta.insert.size() < 16) {
+    delta.insert.push_back(Edge{static_cast<VertexId>(rng() % n),
+                                static_cast<VertexId>(rng() % n), 1.0f});
+  }
+  return delta;
+}
+
+// A new graph version: the pass over the base rows plus Graph::FromEdges
+// (both CSR directions), to read beside BM_CsrBuild's one direction.
+void BM_ApplyDelta(benchmark::State& state) {
+  Graph g = Graph::FromEdges(BenchEdges(static_cast<EdgeId>(state.range(0))));
+  GraphDelta delta = BenchDelta(g);
+  for (auto _ : state) {
+    Result<Graph> next = ApplyDelta(g, delta);
+    benchmark::DoNotOptimize(next.value().num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_ApplyDelta)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 19);
 
 void BM_ChunkPartition(benchmark::State& state) {
   Graph g = Graph::FromEdges(BenchEdges(1 << 17));

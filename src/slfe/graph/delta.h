@@ -19,9 +19,10 @@ namespace slfe {
 /// path both depend on.
 struct GraphDelta {
   /// Edges appended after the deletions, in batch order. Endpoints may
-  /// name vertices >= |V|; the vertex set grows to cover them. An
-  /// insertion whose (src, dst) pair already exists — in the post-deletion
-  /// graph or earlier in this batch — is skipped (first weight wins).
+  /// name vertices >= |V|; the vertex set grows to cover them. No endpoint
+  /// may be kInvalidVertex (|V| would wrap to 0). An insertion whose
+  /// (src, dst) pair already exists — in the post-deletion graph or
+  /// earlier in this batch — is skipped (first weight wins).
   std::vector<Edge> insert;
   /// (src, dst) pairs to remove; EVERY parallel copy of a pair goes.
   /// Deleting a pair the graph does not carry is counted, not an error
@@ -50,8 +51,14 @@ struct GraphDeltaStats {
 /// out-CSR rows in order with deleted pairs filtered out, followed by the
 /// surviving insertions in batch order; both CSR directions are rebuilt
 /// from that list with the same stable counting sort Graph::FromEdges
-/// uses. kInvalidArgument when a deletion names a vertex outside the base
-/// graph (insertions may grow the vertex set, deletions cannot).
+/// uses. kInvalidArgument, before anything is built, when a deletion
+/// names a vertex outside the base graph (insertions may grow the vertex
+/// set, deletions cannot) or an insertion names kInvalidVertex.
+///
+/// Cost: one sequential pass over the base's out-rows plus
+/// Graph::FromEdges. Hashing is bounded by the degrees of the rows the
+/// delta touches (sources of its deletions and insertions) plus the batch
+/// itself; every other row is copied without a lookup.
 Result<Graph> ApplyDelta(const Graph& base, const GraphDelta& delta,
                          GraphDeltaStats* stats = nullptr);
 

@@ -38,8 +38,9 @@ class EdgeList {
 
   void Reserve(size_t n) { edges_.reserve(n); }
 
-  /// Removes self-loops and duplicate (src,dst) pairs, keeping the first
-  /// occurrence of each pair. Returns the number of edges removed.
+  /// Removes self-loops and duplicate (src,dst) pairs, keeping the
+  /// minimum-weight copy of each pair; the survivors end up sorted by
+  /// (src, dst). Returns the number of edges removed.
   size_t Deduplicate();
 
   /// Appends the reverse of every edge (making the graph symmetric).

@@ -28,19 +28,32 @@
 namespace slfe {
 namespace {
 
-enum class Shape { kChain, kStar, kRmat, kDisconnected };
+enum class Shape { kChain, kStar, kRmat, kDisconnected, kParallel };
 
 struct HarnessParam {
   Shape shape;
   uint64_t seed;
 };
 
+const char* ShapeName(Shape shape) {
+  switch (shape) {
+    case Shape::kChain:
+      return "Chain";
+    case Shape::kStar:
+      return "Star";
+    case Shape::kRmat:
+      return "Rmat";
+    case Shape::kDisconnected:
+      return "Disconnected";
+    case Shape::kParallel:
+      return "Parallel";
+  }
+  return "";
+}
+
 std::string ParamName(const ::testing::TestParamInfo<HarnessParam>& info) {
-  const char* shape = info.param.shape == Shape::kChain   ? "Chain"
-                      : info.param.shape == Shape::kStar  ? "Star"
-                      : info.param.shape == Shape::kRmat  ? "Rmat"
-                                                          : "Disconnected";
-  return std::string(shape) + "_seed" + std::to_string(info.param.seed);
+  return std::string(ShapeName(info.param.shape)) + "_seed" +
+         std::to_string(info.param.seed);
 }
 
 Graph MakeShapeGraph(const HarnessParam& p) {
@@ -65,6 +78,17 @@ Graph MakeShapeGraph(const HarnessParam& p) {
       for (const Edge& edge : er.edges()) e.Add(edge.src, edge.dst);
       for (VertexId v = 64; v < 100; ++v) e.Add(v, v + 1);
       e.set_num_vertices(110);  // 101..109 isolated
+      return Graph::FromEdges(e);
+    }
+    case Shape::kParallel: {
+      // Every third edge gains a parallel copy with its own weight, placed
+      // after all the originals so the copies sit apart in their rows.
+      EdgeList er = GenerateErdosRenyi(48, 160, p.seed, /*weighted=*/true);
+      EdgeList e = er;
+      for (size_t i = 0; i < er.num_edges(); i += 3) {
+        const Edge& edge = er.edges()[i];
+        e.Add(edge.src, edge.dst, edge.weight + 1);
+      }
       return Graph::FromEdges(e);
     }
   }
@@ -122,6 +146,16 @@ void ExpectSameCsr(const Csr& want, const Csr& got, const std::string& label) {
   }
 }
 
+/// Equal out-adjacency structure: what the fingerprint digests.
+bool SameTopology(const Graph& a, const Graph& b) {
+  return a.num_vertices() == b.num_vertices() &&
+         a.num_edges() == b.num_edges() &&
+         std::equal(a.out().offsets().begin(), a.out().offsets().end(),
+                    b.out().offsets().begin()) &&
+         std::equal(a.out().neighbors().begin(), a.out().neighbors().end(),
+                    b.out().neighbors().begin());
+}
+
 void ExpectSameGraph(const Graph& want, const Graph& got,
                      const std::string& label) {
   ASSERT_EQ(want.num_vertices(), got.num_vertices()) << label;
@@ -133,7 +167,10 @@ void ExpectSameGraph(const Graph& want, const Graph& got,
 
 /// A random batch: deletions drawn from the live edge set (plus a few
 /// misses), insertions drawn uniformly (so some duplicate live edges and
-/// some occasionally grow the vertex set).
+/// some occasionally grow the vertex set). Each about half the time, the
+/// batch also carries the cases that meet on one touched row: a deleted
+/// pair re-inserted (a net reweight), a live pair inserted on a row that
+/// also has a deletion, a repeated erase pair and a duplicate insertion.
 GraphDelta RandomDelta(const Graph& g, std::mt19937_64& rng) {
   GraphDelta delta;
   std::uniform_int_distribution<VertexId> pick_v(0, g.num_vertices() - 1);
@@ -156,6 +193,23 @@ GraphDelta RandomDelta(const Graph& g, std::mt19937_64& rng) {
     VertexId dst = rng() % 8 == 0 ? g.num_vertices() : pick_v(rng);
     delta.insert.push_back(
         Edge{src, dst, static_cast<Weight>(1 + rng() % 5)});
+  }
+
+  const auto [erased_src, erased_dst] =
+      delta.erase[rng() % delta.erase.size()];
+  if (rng() % 2 == 0) {
+    delta.insert.push_back(Edge{erased_src, erased_dst, 7.0f});
+  }
+  if (rng() % 2 == 0 && g.out_degree(erased_src) > 0) {
+    EdgeId e = g.out().begin(erased_src) + rng() % g.out_degree(erased_src);
+    delta.insert.push_back(Edge{erased_src, g.out().neighbor(e), 8.0f});
+  }
+  if (rng() % 2 == 0) {
+    delta.erase.push_back(delta.erase[rng() % delta.erase.size()]);
+  }
+  if (rng() % 2 == 0) {
+    const Edge first = delta.insert[rng() % delta.insert.size()];
+    delta.insert.push_back(Edge{first.src, first.dst, first.weight + 1});
   }
   return delta;
 }
@@ -181,17 +235,22 @@ TEST_P(GraphDeltaTest, MatchesRebuiltReferenceAcrossChainedBatches) {
     EXPECT_EQ(stats.edges_inserted + stats.duplicate_inserts,
               delta.insert.size())
         << label;
+    std::set<std::pair<VertexId, VertexId>> absent(delta.erase.begin(),
+                                                   delta.erase.end());
+    for (const Edge& e : OutEdgesInOrder(cur)) absent.erase({e.src, e.dst});
+    EXPECT_EQ(stats.missing_deletes, absent.size()) << label;
     EXPECT_EQ(next.value().num_edges(),
               cur.num_edges() + stats.edges_inserted - stats.edges_deleted)
         << label;
-    if (stats.edges_inserted + stats.edges_deleted > 0) {
-      // An effective delta changes the topology versus its immediate
-      // predecessor, so the version-keying fingerprint must move too.
-      // (Only adjacent versions are comparable: a later delta may revert
-      // to an earlier version's exact topology, and equal topology means
-      // equal fingerprint by design.)
-      EXPECT_NE(next.value().fingerprint(), cur.fingerprint()) << label;
-    }
+    // The version-keying fingerprint moves exactly when the topology does
+    // versus the immediate predecessor. An effective delta can leave the
+    // topology as it was: a net reweight of the last pair of a row is one.
+    // (Only adjacent versions are comparable: a later delta may revert to
+    // an earlier version's exact topology, and equal topology means equal
+    // fingerprint by design.)
+    EXPECT_EQ(next.value().fingerprint() == cur.fingerprint(),
+              SameTopology(cur, next.value()))
+        << label;
     cur = std::move(next).value();
   }
 }
@@ -248,6 +307,25 @@ TEST(GraphDeltaEdgeCases, DeleteOutsideBaseRangeRejected) {
   src_out.erase.emplace_back(99, 0);
   EXPECT_EQ(ApplyDelta(chain, src_out).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// kInvalidVertex + 1 wraps the vertex bound to 0, and the CSR build would
+// then write past a one-entry offsets array. The batch must be refused
+// whole, valid insertions included, with nothing reported as applied.
+TEST(GraphDeltaEdgeCases, InsertionNamingTheReservedIdRejected) {
+  Graph chain = Graph::FromEdges(GenerateChain(4));
+  for (const Edge& bad :
+       {Edge{0, kInvalidVertex, 1.0f}, Edge{kInvalidVertex, 0, 1.0f}}) {
+    GraphDelta delta;
+    delta.insert.push_back(Edge{1, 3, 1.0f});
+    delta.insert.push_back(bad);
+    delta.erase.emplace_back(2, 3);
+    GraphDeltaStats stats;
+    Result<Graph> next = ApplyDelta(chain, delta, &stats);
+    EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument)
+        << bad.src << " -> " << bad.dst;
+    EXPECT_EQ(stats.edges_inserted + stats.edges_deleted, 0u);
+  }
 }
 
 TEST(GraphDeltaEdgeCases, InsertionsGrowTheVertexSet) {
@@ -388,6 +466,10 @@ TEST(SessionVersionTest, InvalidDeltaRejectedWithoutVersionBump) {
   bad.erase.emplace_back(0, 50);
   EXPECT_EQ(session.MutateGraph("g", bad).status().code(),
             StatusCode::kInvalidArgument);
+  GraphDelta wrap;
+  wrap.insert.push_back(Edge{0, kInvalidVertex, 1.0f});
+  EXPECT_EQ(session.MutateGraph("g", wrap).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(session.GraphVersions("g").back().version, 1u);
   EXPECT_EQ(session.graphs_mutated(), 0u);
 }
@@ -448,7 +530,10 @@ INSTANTIATE_TEST_SUITE_P(
                       HarnessParam{Shape::kRmat, 3},
                       HarnessParam{Shape::kDisconnected, 1},
                       HarnessParam{Shape::kDisconnected, 2},
-                      HarnessParam{Shape::kDisconnected, 3}),
+                      HarnessParam{Shape::kDisconnected, 3},
+                      HarnessParam{Shape::kParallel, 1},
+                      HarnessParam{Shape::kParallel, 2},
+                      HarnessParam{Shape::kParallel, 3}),
     ParamName);
 
 }  // namespace

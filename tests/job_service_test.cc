@@ -714,6 +714,38 @@ TEST(JobServiceMutationTest, MutationJobsRunThroughTheQueueAndCount) {
   EXPECT_EQ(service.session().GraphVersions("c").back().version, 2u);
 }
 
+TEST(JobServiceMutationTest, VertexIdWrapFailsClosed) {
+  // `mutate t c ins 0 4294967295 1` parses: the id is a legal u32. The
+  // mutation must fail as a job, and the graph keep serving version 1.
+  JobService service;
+  ASSERT_TRUE(
+      service.RegisterGraph("c", Graph::FromEdges(GenerateChain(40))).ok());
+  MutationRequest wrap;
+  wrap.tenant = "t";
+  wrap.graph = "c";
+  wrap.delta.insert.push_back(Edge{0, kInvalidVertex, 1.0f});
+  auto wrap_ticket = service.SubmitMutation(wrap);
+  ASSERT_TRUE(wrap_ticket.ok());
+  EXPECT_EQ(wrap_ticket.value()->Wait().status.code(),
+            StatusCode::kInvalidArgument);
+
+  JobRequest query;
+  query.tenant = "t";
+  query.app = "bfs";
+  query.graph = "c";
+  auto query_ticket = service.Submit(query);
+  ASSERT_TRUE(query_ticket.ok());
+  const JobResult& result = query_ticket.value()->Wait();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.summary, 39u);  // the unmutated chain's depth
+
+  JobServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.mutations, 0u);
+  EXPECT_EQ(service.session().GraphVersions("c").back().version, 1u);
+}
+
 TEST(JobServiceMutationTest, QueriesExecuteOnTheirSubmitTimeVersion) {
   // One worker; a slow job occupies it while a mutation AND a query are
   // queued behind it. The query resolved its graph at submit time —
@@ -835,7 +867,9 @@ TEST(JobServiceMutationTest, MutationNeverEvictsTheOldVersionsStoreEntry) {
   mutation.delta.insert.push_back(Edge{0, 20, 1.0f});
   ASSERT_TRUE(service.SubmitMutation(mutation).value()->Wait().status.ok());
 
-  const JobResult& after = service.Submit(query).value()->Wait();
+  // The ticket owns the result: hold it while the result is read.
+  JobTicket after_ticket = service.Submit(query).value();
+  const JobResult& after = after_ticket->Wait();
   ASSERT_TRUE(after.status.ok());
   EXPECT_TRUE(after.guidance_repaired);
 
