@@ -7,9 +7,9 @@
 // use — there is no CLI-private dispatch.
 //
 //   slfe_cli --app=sssp --dataset=PK --nodes=8 --rr
-//   slfe_cli --app=sssp --engine=gas --dataset=PK --rr
+//   slfe_cli --app=sssp --engine=gas --dataset=PK   # unguided comparator
 //   slfe_cli --app=pr --engine=ooc --file=edges.txt --iters=100
-//   slfe_cli --app=sssp --dataset=PK --rr --store-dir=/var/cache/slfe \
+//   slfe_cli --app=sssp --dataset=PK --rr --store-dir=/var/cache/slfe
 //            --store-max-entries=128 --store-ttl=86400
 //   slfe_cli --serve --jobs=batch.txt --workers=4 --store-dir=/var/cache/slfe
 //   slfe_cli --list-apps
@@ -83,7 +83,7 @@ void PrintUsage() {
       "                   binary edge list, or a *.sga arena — sniffed)\n"
       "  --nodes=N        simulated cluster nodes (default 1)\n"
       "  --threads=N      threads per node (default 1)\n"
-      "  --rr             enable SLFE redundancy reduction\n"
+      "  --rr             enable SLFE redundancy reduction (dist engine)\n"
       "  --no-stealing    disable intra-node work stealing\n"
       "  --iters=N        iteration cap for the arithmetic apps "
       "(default 50)\n"

@@ -3,7 +3,7 @@
 // the guidance store, its GC budgets (global and per tenant), and the
 // maintenance sweep cadence configured from the shell.
 //
-//   slfe_server --jobs=batch.txt --workers=4 --store-dir=/var/cache/slfe \
+//   slfe_server --jobs=batch.txt --workers=4 --store-dir=/var/cache/slfe
 //               --maintenance-interval=30 --tenant-budget=acme:1048576:8
 //   printf 'submit t1 sssp PK 0\nwait\nstats\n' | slfe_server
 //   slfe_server --smoke        # CI: self-contained amortization check

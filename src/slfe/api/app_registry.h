@@ -45,7 +45,8 @@ struct AppRequest {
   VertexId root = 0;
   /// Iteration cap for the arithmetic apps.
   uint32_t max_iters = 50;
-  /// false = baseline run (no guidance acquisition, no RR).
+  /// false = baseline run (no guidance acquisition, no RR). RR applies on
+  /// the dist engine only; shm, gas and ooc run unguided either way.
   bool enable_rr = true;
   bool enable_stealing = true;
   /// Arithmetic convergence threshold (dist engine).

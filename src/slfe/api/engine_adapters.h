@@ -22,7 +22,6 @@ inline AppRunInfo FromGasStats(const gas::GasStats& stats) {
   info.stats.iterations = stats.supersteps;
   info.stats.computations = stats.computations;
   info.stats.updates = stats.updates;
-  info.stats.skipped = stats.skipped;
   info.stats.messages = stats.messages;
   info.stats.bytes = stats.bytes;
   info.stats.push_seconds = stats.compute_seconds;
@@ -35,7 +34,6 @@ inline AppRunInfo FromOocStats(const ooc::OocStats& stats) {
   info.supersteps = stats.iterations;
   info.stats.iterations = stats.iterations;
   info.stats.computations = stats.computations;
-  info.stats.skipped = stats.skipped;
   info.stats.bytes = stats.bytes_read;
   info.stats.pull_seconds = stats.io_seconds;
   info.stats.push_seconds = stats.compute_seconds;

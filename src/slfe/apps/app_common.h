@@ -74,7 +74,9 @@ inline GuidanceAcquisition AcquireGuidance(const Graph& graph,
                                            const AppConfig& config,
                                            GuidanceRootPolicy policy) {
   if (!config.enable_rr) return {};
-  GuidanceProvider& provider = ResolveProvider(config.guidance_provider);
+  GuidanceProvider& provider = config.guidance_provider != nullptr
+                                   ? *config.guidance_provider
+                                   : GuidanceProvider::Global();
   GuidanceRequest request;
   request.policy = policy;
   request.root = config.root;

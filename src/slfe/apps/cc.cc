@@ -82,15 +82,10 @@ api::AppRegistrar register_cc([] {
     return CcOutcome(r.info, r.labels);
   };
   d.runners[api::Engine::kGas] = [](const api::RunContext& ctx) {
-    GuidanceAcquisition acq = AcquireGuidance(
-        ctx.graph, ctx.config, GuidanceRootPolicy::kLocalMinima);
     gas::GasOptions opt;
     opt.num_nodes = ctx.config.num_nodes;
-    opt.guidance = acq.guidance;  // "start late" gathers (monotone min)
     gas::GasCcResult r = gas::RunGasCc(ctx.graph, opt);
-    api::AppOutcome out = CcOutcome(api::FromGasStats(r.stats), r.labels);
-    RecordGuidance(acq, &out.info);
-    return out;
+    return CcOutcome(api::FromGasStats(r.stats), r.labels);
   };
   d.runners[api::Engine::kShm] = [](const api::RunContext& ctx) {
     std::vector<uint32_t> labels;
@@ -108,22 +103,9 @@ api::AppRegistrar register_cc([] {
     }
     ooc::OocEngine engine = std::move(built).value();
     std::vector<uint32_t> labels;
-    ooc::OocStats stats;
-    api::AppOutcome out;
-    GuidanceAcquisition acq = AcquireGuidance(
-        ctx.graph, ctx.config, GuidanceRootPolicy::kLocalMinima);
-    if (acq) {
-      // One acquisition per run: the runner's Acquire carries the
-      // hit/coalesced accounting AND feeds the sweep.
-      stats = ooc::OocCcGuided(engine, ctx.graph, &labels, acq);
-      out = CcOutcome(api::FromOocStats(stats), labels);
-      RecordGuidance(acq, &out.info);
-    } else {
-      stats = ooc::OocCc(engine, &labels);
-      out = CcOutcome(api::FromOocStats(stats), labels);
-    }
+    ooc::OocStats stats = ooc::OocCc(engine, &labels);
     engine.RemoveFiles();
-    return out;
+    return CcOutcome(api::FromOocStats(stats), labels);
   };
   return d;
 }());

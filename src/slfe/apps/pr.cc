@@ -56,9 +56,8 @@ PrResult RunPr(const Graph& graph, const AppConfig& config) {
 }
 
 // Self-registration (see api/app_registry.h). PR runs everywhere: dist
-// ("finish early" multi-Ruler), shm, GAS (baseline only — delaying
-// gathers of a fixed-iteration arithmetic app would change the result),
-// and out-of-core (finish-early shard sweeps).
+// ("finish early" multi-Ruler) and the unguided shm, GAS and out-of-core
+// comparators.
 namespace {
 
 api::AppOutcome PrOutcome(AppRunInfo info, const std::vector<float>& ranks) {
@@ -102,23 +101,10 @@ api::AppRegistrar register_pr([] {
     }
     ooc::OocEngine engine = std::move(built).value();
     std::vector<float> ranks;
-    api::AppOutcome out;
-    GuidanceAcquisition acq = AcquireGuidance(
-        ctx.graph, ctx.config, GuidanceRootPolicy::kSourceVertices);
-    if (acq) {
-      // One acquisition per run: the runner's Acquire carries the
-      // hit/coalesced accounting AND feeds the sweep.
-      ooc::OocStats stats = ooc::OocPrGuided(engine, ctx.graph,
-                                             ctx.config.max_iters, &ranks, acq);
-      out = PrOutcome(api::FromOocStats(stats), ranks);
-      RecordGuidance(acq, &out.info);
-    } else {
-      ooc::OocStats stats =
-          ooc::OocPr(engine, ctx.graph, ctx.config.max_iters, &ranks);
-      out = PrOutcome(api::FromOocStats(stats), ranks);
-    }
+    ooc::OocStats stats =
+        ooc::OocPr(engine, ctx.graph, ctx.config.max_iters, &ranks);
     engine.RemoveFiles();
-    return out;
+    return PrOutcome(api::FromOocStats(stats), ranks);
   };
   return d;
 }());

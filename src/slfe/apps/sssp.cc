@@ -86,15 +86,10 @@ api::AppRegistrar register_sssp([] {
     return SsspOutcome(r.info, r.dist);
   };
   d.runners[api::Engine::kGas] = [](const api::RunContext& ctx) {
-    GuidanceAcquisition acq = AcquireGuidance(
-        ctx.graph, ctx.config, GuidanceRootPolicy::kSingleSource);
     gas::GasOptions opt;
     opt.num_nodes = ctx.config.num_nodes;
-    opt.guidance = acq.guidance;  // "start late" gathers (monotone min)
     gas::GasSsspResult r = gas::RunGasSssp(ctx.graph, ctx.config.root, opt);
-    api::AppOutcome out = SsspOutcome(api::FromGasStats(r.stats), r.dist);
-    RecordGuidance(acq, &out.info);
-    return out;
+    return SsspOutcome(api::FromGasStats(r.stats), r.dist);
   };
   d.runners[api::Engine::kShm] = [](const api::RunContext& ctx) {
     std::vector<float> dist;

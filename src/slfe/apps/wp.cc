@@ -83,17 +83,10 @@ api::AppRegistrar register_wp([] {
     return WpOutcome(r.info, r.width);
   };
   d.runners[api::Engine::kGas] = [](const api::RunContext& ctx) {
-    GuidanceAcquisition acq = AcquireGuidance(
-        ctx.graph, ctx.config, GuidanceRootPolicy::kSingleSource);
     gas::GasOptions opt;
     opt.num_nodes = ctx.config.num_nodes;
-    // Monotone max aggregation: "start late" reaches the exact baseline
-    // fixpoint (see GasOptions::guidance).
-    opt.guidance = acq.guidance;
     gas::GasWpResult r = gas::RunGasWp(ctx.graph, ctx.config.root, opt);
-    api::AppOutcome out = WpOutcome(api::FromGasStats(r.stats), r.width);
-    RecordGuidance(acq, &out.info);
-    return out;
+    return WpOutcome(api::FromGasStats(r.stats), r.width);
   };
   return d;
 }());

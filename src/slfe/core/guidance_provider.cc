@@ -37,10 +37,6 @@ GuidanceProvider& GuidanceProvider::Global() {
   return *provider;
 }
 
-GuidanceProvider& ResolveProvider(GuidanceProvider* provider) {
-  return provider != nullptr ? *provider : GuidanceProvider::Global();
-}
-
 std::vector<VertexId> GuidanceProvider::SelectRoots(
     const Graph& graph, const GuidanceRequest& request) {
   switch (request.policy) {

@@ -145,18 +145,11 @@ struct GuidanceProviderStats {
   uint64_t repair_fallbacks = 0;
 };
 
-class GuidanceProvider;
-
-/// The one rule for resolving an optional provider argument: nullptr means
-/// the process-global instance. Shared by every guided entry point
-/// (app_common's AcquireGuidance, the guided GAS and ooc apps).
-GuidanceProvider& ResolveProvider(GuidanceProvider* provider);
-
-/// The single guidance entry point shared by the apps, the distributed
-/// engine (via EngineOptions::guidance), and the out-of-core engine:
-/// selects roots per policy, serves repeated jobs from the GuidanceCache
-/// (and, when a store directory is configured, from disk across process
-/// restarts), and generates misses with the frontier-parallel sweep.
+/// The single guidance entry point shared by the apps and the distributed
+/// engine (via EngineOptions::guidance): selects roots per policy, serves
+/// repeated jobs from the GuidanceCache (and, when a store directory is
+/// configured, from disk across process restarts), and generates misses
+/// with the frontier-parallel sweep.
 ///
 /// Thread-safe, with two multi-tenant protections:
 ///

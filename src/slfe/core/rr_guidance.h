@@ -201,8 +201,7 @@ inline constexpr uint64_t kMinStableRounds = 8;
 
 /// Stability horizon for "finish early" (Algorithm 5): how many
 /// consecutive exactly-stable rounds vertex v needs before it may freeze.
-/// Shared by every arithmetic consumer (ArithRunner, OocPrGuided) so the
-/// rules stay in one place:
+/// Its one caller is ArithRunner; the rules are:
 ///  * unvisited vertices (the guidance roots did not reach them) never
 ///    freeze;
 ///  * the horizon is lastIter + 1, because guidance levels are

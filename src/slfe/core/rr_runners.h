@@ -24,33 +24,16 @@ namespace slfe {
 /// "w/o RR vs w/ RR" comparison runs identical code paths modulo the
 /// redundancy logic.
 
-/// How "start late" recovers updates that were delivered while their
-/// observer was still delayed. The variants are ablated in
-/// bench_ablation; all three converge to the same values.
-enum class RRVariant {
-  /// Default: the first processed iteration of a delayed vertex gathers
-  /// from ALL in-neighbors (paper §3.2: "requires vx to collect the
-  /// inputs from all of them"), later iterations gather incrementally.
-  /// No transition reactivation needed; cost is one full in-degree scan
-  /// per vertex.
-  kGatherAllAtStart,
-  /// Track vertices whose update may be unseen by a delayed successor and
-  /// reactivate exactly those on each pull->push transition (the precise
-  /// form of Algorithm 3's rule; reproduces the small circled bump in
-  /// Fig. 9a).
-  kDirtyPush,
-  /// Paper Algorithm 3 verbatim: reactivate every vertex on a pull->push
-  /// transition (conservative, most extra work).
-  kAllPush,
-};
-
 /// Runner for applications whose aggregation is a monotone min()/max()
 /// comparison (SSSP, CC, WP, ...). With guidance attached it implements
 /// "start late": in pull mode, destination v is skipped until the
 /// iteration Ruler reaches RRG[v].lastIter (Algorithm 2,
-/// pullEdge_singleRuler). Delayed updates are recovered per RRVariant,
-/// and a terminal verification sweep guarantees the fixpoint regardless
-/// of guidance quality (Theorem 1 made unconditional).
+/// pullEdge_singleRuler). At its unlock a vertex recovers the updates it
+/// missed while delayed by gathering ALL its in-neighbors once (paper
+/// §3.2: "requires vx to collect the inputs from all of them"); later
+/// pulls gather active in-neighbors only. A terminal verification sweep
+/// guarantees the fixpoint regardless of guidance quality (Theorem 1 made
+/// unconditional).
 template <typename V>
 class MinMaxRunner {
  public:
@@ -68,31 +51,12 @@ class MinMaxRunner {
   /// Provider-threaded form: picks up the guidance the app routed through
   /// EngineOptions::guidance (null = baseline), so runner construction no
   /// longer repeats the guidance plumbing per app.
-  explicit MinMaxRunner(DistEngine<V>* engine,
-                        RRVariant variant = RRVariant::kGatherAllAtStart)
-      : MinMaxRunner(engine, engine->guidance(), variant) {}
+  explicit MinMaxRunner(DistEngine<V>* engine)
+      : MinMaxRunner(engine, engine->guidance()) {}
 
   /// `engine` must outlive the runner. `guidance` enables RR when non-null.
-  MinMaxRunner(DistEngine<V>* engine, const RRGuidance* guidance,
-               RRVariant variant = RRVariant::kGatherAllAtStart)
-      : engine_(engine), guidance_(guidance), variant_(variant) {
-    if (guidance_ != nullptr) {
-      switch (variant_) {
-        case RRVariant::kGatherAllAtStart:
-          engine_->mutable_options().reactivation =
-              TransitionReactivation::kNone;
-          break;
-        case RRVariant::kDirtyPush:
-          engine_->mutable_options().reactivation =
-              TransitionReactivation::kDirty;
-          break;
-        case RRVariant::kAllPush:
-          engine_->mutable_options().reactivation =
-              TransitionReactivation::kAll;
-          break;
-      }
-    }
-  }
+  MinMaxRunner(DistEngine<V>* engine, const RRGuidance* guidance)
+      : engine_(engine), guidance_(guidance) {}
 
   /// Collective SPMD entry point. `seeds` are activated before the loop;
   /// gather/apply/scatter define the app exactly as for DistEngine.
@@ -111,12 +75,8 @@ class MinMaxRunner {
     const bool rr = guidance_ != nullptr;
     engine_->BeginRun(ctx);
     if (rr) {
-      if (ctx.rank == 0 && variant_ == RRVariant::kGatherAllAtStart) {
+      if (ctx.rank == 0) {
         started_.assign(engine_->dist_graph().graph().num_vertices(), 0);
-      }
-      if (variant_ == RRVariant::kDirtyPush) {
-        InstallDirtyBookkeeping(ctx);
-        SetIterationForDirtyPolicy(ctx, 0);
       }
       ctx.world->Barrier();
     }
@@ -130,34 +90,19 @@ class MinMaxRunner {
       while (active > 0) {
         ++ruler;
         if (rr) {
-          if (variant_ == RRVariant::kDirtyPush) {
-            SetIterationForDirtyPolicy(ctx, ruler);
-          }
           // pullEdge_singleRuler: delay dst until Ruler reaches lastIter
-          // ("start late").
+          // ("start late"), then gather all in-edges once.
           uint32_t current = ruler;
-          if (variant_ == RRVariant::kGatherAllAtStart) {
-            filter = [this, current](VertexId dst) {
-              if (current < guidance_->last_iter(dst)) {
-                return PullAction::kSkip;
-              }
-              if (started_[dst] == 0) {
-                started_[dst] = 1;
-                return PullAction::kGatherAll;
-              }
-              return PullAction::kGatherActive;
-            };
-          } else {
-            // Push-based recovery variants gather incrementally; the
-            // transition push re-delivers what delayed vertices missed
-            // (paper §3.3: "SLFE leverages the push to ensure the
-            // application's correctness").
-            filter = [this, current](VertexId dst) {
-              return current >= guidance_->last_iter(dst)
-                         ? PullAction::kGatherActive
-                         : PullAction::kSkip;
-            };
-          }
+          filter = [this, current](VertexId dst) {
+            if (current < guidance_->last_iter(dst)) {
+              return PullAction::kSkip;
+            }
+            if (started_[dst] == 0) {
+              started_[dst] = 1;
+              return PullAction::kGatherAll;
+            }
+            return PullAction::kGatherActive;
+          };
         }
         active = engine_->ProcessEdges(ctx, identity, gather, apply, scatter,
                                        filter);
@@ -177,19 +122,14 @@ class MinMaxRunner {
       active = engine_->ProcessEdges(
           ctx, identity, gather, apply, scatter,
           [this](VertexId dst) {
-            if (variant_ == RRVariant::kGatherAllAtStart) {
-              // Sweep only vertices whose one-time unlock gather has not
-              // happened — and do NOT mark them started: if the run
-              // resumes, their natural unlock must still gather-all,
-              // because sources may settle between this sweep and that
-              // unlock while the vertex is still delayed (sweeps fire on
-              // premature active-set death, ahead of the schedule).
-              return started_[dst] == 0 ? PullAction::kGatherAll
-                                        : PullAction::kSkip;
-            }
-            // Push-recovery variants gathered incrementally, so any vertex
-            // may have missed a pull-delivered update; sweep them all.
-            return PullAction::kGatherAll;
+            // Sweep only vertices whose one-time unlock gather has not
+            // happened — and do NOT mark them started: if the run
+            // resumes, their natural unlock must still gather-all,
+            // because sources may settle between this sweep and that
+            // unlock while the vertex is still delayed (sweeps fire on
+            // premature active-set death, ahead of the schedule).
+            return started_[dst] == 0 ? PullAction::kGatherAll
+                                      : PullAction::kSkip;
           },
           /*gather_all=*/true, &kForcePull);
       ++result.supersteps;
@@ -209,42 +149,9 @@ class MinMaxRunner {
   }
 
  private:
-  /// Precomputes, per vertex, the latest unlock level among its successors:
-  /// an update at iteration t goes "unseen" only when t+1 is earlier than
-  /// this threshold (some out-neighbor is still delayed at t+1 and will not
-  /// gather the value). Rank 0 builds the table; all ranks share it.
-  void InstallDirtyBookkeeping(sim::NodeContext& ctx) {
-    if (ctx.rank == 0) {
-      const Graph& g = engine_->dist_graph().graph();
-      max_out_last_iter_.assign(g.num_vertices(), 0);
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        uint32_t worst = 0;
-        g.out().ForEachNeighbor(v, [&](VertexId u, Weight) {
-          uint32_t li = guidance_->last_iter(u);
-          if (li > worst) worst = li;
-        });
-        max_out_last_iter_[v] = worst;
-      }
-    }
-    ctx.world->Barrier();
-  }
-
-  /// Collective: points the engine's dirty policy at iteration `iter`.
-  void SetIterationForDirtyPolicy(sim::NodeContext& ctx, uint32_t iter) {
-    ctx.world->Barrier();
-    if (ctx.rank == 0) {
-      engine_->SetDirtyPolicy([this, iter](VertexId v) {
-        return iter + 1 < max_out_last_iter_[v];
-      });
-    }
-    ctx.world->Barrier();
-  }
-
   DistEngine<V>* engine_;
   const RRGuidance* guidance_;
-  RRVariant variant_;
-  std::vector<uint8_t> started_;  // kGatherAllAtStart: first pull ran
-  std::vector<uint32_t> max_out_last_iter_;
+  std::vector<uint8_t> started_;  // unlock gather-all done
 };
 
 /// Runner for applications with arithmetic aggregation (PR, TR, SpMV,

@@ -37,15 +37,6 @@ enum class ModePolicy {
   kAlwaysPush,
 };
 
-/// What to reactivate when the engine transitions pull -> push. RR may
-/// deactivate vertices whose latest value was never observed by skipped
-/// successors, so the transition push must re-deliver values (paper
-/// Algorithm 3's activateAllVertices). `kDirty` is the precise variant:
-/// only vertices whose value changed since their last push are revived —
-/// it produces the "small amount of immediate computations" bump the paper
-/// circles in Fig. 9a. `kAll` is the paper's literal (conservative) rule.
-enum class TransitionReactivation { kNone, kDirty, kAll };
-
 struct EngineOptions {
   ModePolicy mode_policy = ModePolicy::kAdaptive;
   /// Active-out-edge fraction above which the engine runs dense/pull
@@ -54,8 +45,6 @@ struct EngineOptions {
   /// Mini-chunk work stealing inside a node (paper §3.6). Disable for the
   /// Fig. 10a ablation.
   bool enable_work_stealing = true;
-  /// Pull->push correctness rule; kNone for the non-RR baseline.
-  TransitionReactivation reactivation = TransitionReactivation::kNone;
   /// Virtual network cost model for the simulated cluster.
   sim::CostModel cost_model;
   /// RR guidance for this engine's runs, typically acquired through the
@@ -137,7 +126,6 @@ class DistEngine {
     VertexId n = dg_.graph().num_vertices();
     bitmap_a_.Resize(n);
     bitmap_b_.Resize(n);
-    dirty_.Resize(n);
     active_cur_ = &bitmap_a_;
     active_next_ = &bitmap_b_;
   }
@@ -154,54 +142,32 @@ class DistEngine {
     if (ctx.rank == 0) {
       active_cur_->Clear();
       active_next_->Clear();
-      dirty_.Clear();
       stats_ = EngineStats{};
       stats_.node_compute_seconds.assign(dg_.num_nodes(), 0.0);
       stats_.node_computations.assign(dg_.num_nodes(), 0);
       stats_.per_thread_chunks.assign(
           static_cast<size_t>(dg_.num_nodes()) * ctx.pool->num_threads(), 0);
-      last_mode_ = Mode::kPull;  // first push after a pull reactivates
       metrics_.Reset();
     }
     ctx.world->Barrier();
   }
 
   /// Collective: activates a single seed vertex (owner rank performs it).
-  /// Seeds carry initial values nobody has observed yet, so they start
-  /// dirty for the transition-reactivation bookkeeping.
   void ActivateSeed(sim::NodeContext& ctx, VertexId v) {
-    if (dg_.range(ctx.rank).Contains(v)) {
-      active_next_->SetBit(v);
-      MarkDirty(v);
-    }
+    if (dg_.range(ctx.rank).Contains(v)) active_next_->SetBit(v);
     ctx.world->Barrier();
   }
 
-  /// Collective: activates every vertex (all initial values unobserved).
+  /// Collective: activates every vertex.
   void ActivateAll(sim::NodeContext& ctx) {
     const VertexRange& r = dg_.range(ctx.rank);
-    for (VertexId v = r.begin; v < r.end; ++v) {
-      active_next_->SetBit(v);
-      MarkDirty(v);
-    }
+    for (VertexId v = r.begin; v < r.end; ++v) active_next_->SetBit(v);
     ctx.world->Barrier();
   }
 
   /// Explicit activation from inside apply/scatter lambdas (rarely needed —
   /// returning true activates automatically).
   void Activate(VertexId v) { active_next_->SetBit(v); }
-
-  /// Installs the predicate deciding whether an updated vertex becomes
-  /// "dirty" (its new value may go unseen by a delayed successor, so the
-  /// next pull->push transition must re-deliver it). Without a policy every
-  /// update is dirty — the conservative rule. The RR runner installs
-  /// `iter + 1 < max(lastIter of out-neighbors)` each superstep: if all
-  /// successors are already unlocked they gather the value next iteration
-  /// and nothing is unseen. Call before seeding and per superstep; not
-  /// thread-safe against a running ProcessEdges.
-  void SetDirtyPolicy(std::function<bool(VertexId)> policy) {
-    dirty_policy_ = std::move(policy);
-  }
 
   /// True iff v was active in the superstep being processed.
   bool IsActive(VertexId v) const { return active_cur_->TestBit(v); }
@@ -245,23 +211,6 @@ class DistEngine {
                         bool gather_all = false,
                         const Mode* forced_mode = nullptr) {
     Mode mode = forced_mode != nullptr ? *forced_mode : DecideMode(ctx);
-
-    // Pull->push transition: RR may have deactivated vertices whose values
-    // were never observed by their successors; reactivate them so push
-    // delivers the "unseen" updates (paper Algorithm 3, lines 2-4). kDirty
-    // revives only vertices whose value changed since their last push.
-    if (options_.reactivation != TransitionReactivation::kNone &&
-        mode == Mode::kPush && last_mode_ == Mode::kPull) {
-      const VertexRange& r = dg_.range(ctx.rank);
-      for (VertexId v = r.begin; v < r.end; ++v) {
-        if (options_.reactivation == TransitionReactivation::kAll ||
-            dirty_.TestBit(v)) {
-          active_cur_->SetBit(v);
-        }
-      }
-      ctx.world->Barrier();
-    }
-
     Timer step_timer;
     uint64_t local_comp = 0, local_upd = 0, local_skip = 0;
     uint64_t local_msgs = 0, local_bytes = 0;
@@ -301,7 +250,6 @@ class DistEngine {
       } else {
         stats_.push_seconds += wall;
       }
-      last_mode_ = mode;
     }
     return PromoteActiveSet(ctx);
   }
@@ -344,10 +292,6 @@ class DistEngine {
   const EngineStats& stats() const { return stats_; }
 
  private:
-  void MarkDirty(VertexId v) {
-    if (!dirty_policy_ || dirty_policy_(v)) dirty_.SetBit(v);
-  }
-
   Mode DecideMode(sim::NodeContext& ctx) {
     switch (options_.mode_policy) {
       case ModePolicy::kAlwaysPull:
@@ -405,7 +349,6 @@ class DistEngine {
             }
             if (any && apply(dst, acc)) {
               active_next_->SetBit(dst);
-              MarkDirty(dst);
               ++c.upd;
             }
           }
@@ -447,18 +390,13 @@ class DistEngine {
           ThreadCounters& c = tc[worker];
           for (size_t sv = lo; sv < hi; ++sv) {
             VertexId src = static_cast<VertexId>(sv);
-            if (!active_cur_->TestBit(src)) continue;
-            // Pushing delivers src's current value to every out-neighbor,
-            // so src is no longer "dirty" (unseen) afterwards.
-            dirty_.ResetBit(src);
-            if (out.degree(src) == 0) continue;
+            if (!active_cur_->TestBit(src) || out.degree(src) == 0) continue;
             c.vals += dg_.MirrorNodeCount(src);
             for (EdgeId e = out.begin(src); e < out.end(src); ++e) {
               VertexId dst = out.neighbor(e);
               ++c.comp;
               if (scatter(src, dst, out.weight(e))) {
                 active_next_->SetBit(dst);
-                MarkDirty(dst);
                 ++c.upd;
               }
             }
@@ -488,11 +426,8 @@ class DistEngine {
 
   Bitmap bitmap_a_;
   Bitmap bitmap_b_;
-  Bitmap dirty_;  ///< value changed since last pushed (unseen by some)
-  std::function<bool(VertexId)> dirty_policy_;
   Bitmap* active_cur_ = nullptr;
   Bitmap* active_next_ = nullptr;
-  Mode last_mode_ = Mode::kPull;
   WorkMetrics metrics_;
   EngineStats stats_;
 };

@@ -6,23 +6,6 @@
 
 namespace slfe::gas {
 
-namespace {
-
-/// Acquires guidance for a guided GAS run and threads it into a copy of
-/// `options` (the provider default is the process-global instance, so GAS
-/// jobs participate in the same §4.4 cross-engine amortization as the
-/// SLFE and ooc paths). Returns the acquisition for stats accounting.
-GuidanceAcquisition AcquireIntoOptions(const Graph& graph,
-                                       const GuidanceRequest& request,
-                                       GuidanceProvider* provider,
-                                       GasOptions* options) {
-  GuidanceAcquisition acq = ResolveProvider(provider).Acquire(graph, request);
-  options->guidance = acq.guidance;
-  return acq;
-}
-
-}  // namespace
-
 GasSsspResult RunGasSssp(const Graph& graph, VertexId root,
                          const GasOptions& options) {
   constexpr float kInf = std::numeric_limits<float>::infinity();
@@ -52,20 +35,6 @@ GasSsspResult RunGasSssp(const Graph& graph, VertexId root,
   return result;
 }
 
-GasSsspResult RunGasSsspGuided(const Graph& graph, VertexId root,
-                               const GasOptions& options,
-                               GuidanceProvider* provider) {
-  GasOptions guided = options;
-  GuidanceRequest request;
-  request.policy = GuidanceRootPolicy::kSingleSource;
-  request.root = root;
-  GuidanceAcquisition acq =
-      AcquireIntoOptions(graph, request, provider, &guided);
-  GasSsspResult result = RunGasSssp(graph, root, guided);
-  result.stats.guidance_seconds = acq.acquire_seconds;
-  return result;
-}
-
 GasCcResult RunGasCc(const Graph& graph, const GasOptions& options) {
   GasCcResult result;
   result.labels.resize(graph.num_vertices());
@@ -87,18 +56,6 @@ GasCcResult RunGasCc(const Graph& graph, const GasOptions& options) {
         }
         return false;
       });
-  return result;
-}
-
-GasCcResult RunGasCcGuided(const Graph& graph, const GasOptions& options,
-                           GuidanceProvider* provider) {
-  GasOptions guided = options;
-  GuidanceRequest request;
-  request.policy = GuidanceRootPolicy::kLocalMinima;
-  GuidanceAcquisition acq =
-      AcquireIntoOptions(graph, request, provider, &guided);
-  GasCcResult result = RunGasCc(graph, guided);
-  result.stats.guidance_seconds = acq.acquire_seconds;
   return result;
 }
 

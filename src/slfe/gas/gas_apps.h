@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "slfe/core/guidance_provider.h"
 #include "slfe/gas/gas_engine.h"
 #include "slfe/graph/graph.h"
 
@@ -20,29 +19,11 @@ struct GasSsspResult {
 GasSsspResult RunGasSssp(const Graph& graph, VertexId root,
                          const GasOptions& options);
 
-/// SSSP with RR "start late" (kSingleSource guidance from `provider`,
-/// nullptr = the global one); distances equal RunGasSssp exactly. See
-/// RunGasCcGuided.
-GasSsspResult RunGasSsspGuided(const Graph& graph, VertexId root,
-                               const GasOptions& options,
-                               GuidanceProvider* provider = nullptr);
-
 struct GasCcResult {
   std::vector<uint32_t> labels;
   GasStats stats;
 };
 GasCcResult RunGasCc(const Graph& graph, const GasOptions& options);
-
-/// CC with RR "start late" applied to the GAS gather phase: guidance is
-/// acquired through `provider` (nullptr = GuidanceProvider::Global(), so
-/// GAS runs share the cache/store with the SLFE and ooc engines) with the
-/// kLocalMinima policy, and locked vertices defer their gathers to their
-/// unlock superstep. Labels equal RunGasCc exactly (see
-/// GasOptions::guidance for the argument); stats.skipped counts the
-/// bypassed gather evaluations and stats.guidance_seconds the acquisition
-/// cost actually paid.
-GasCcResult RunGasCcGuided(const Graph& graph, const GasOptions& options,
-                           GuidanceProvider* provider = nullptr);
 
 struct GasWpResult {
   std::vector<float> width;

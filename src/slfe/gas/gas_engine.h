@@ -1,17 +1,13 @@
 #ifndef SLFE_GAS_GAS_ENGINE_H_
 #define SLFE_GAS_GAS_ENGINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include <memory>
-
 #include "slfe/common/bitmap.h"
-#include "slfe/common/counters.h"
 #include "slfe/common/timer.h"
-#include "slfe/core/rr_guidance.h"
-#include "slfe/engine/dist_engine.h"
 #include "slfe/graph/graph.h"
 #include "slfe/sim/comm.h"
 
@@ -36,17 +32,6 @@ struct GasOptions {
   /// Hybrid-cut high-degree threshold (PowerLyra defaults to ~100).
   uint32_t high_degree_threshold = 100;
   sim::CostModel cost_model;
-  /// RR guidance threaded into the engine, mirroring
-  /// EngineOptions::guidance: non-null enables "start late" — vertex v is
-  /// not gathered before superstep last_iter(v), it just stays active
-  /// until unlocked. Because GasEngine's gather phase always scans ALL
-  /// in-edges of a processed vertex, an unlocked vertex sees every
-  /// predecessor's current value, so monotone min/max apps (SSSP/CC/WP)
-  /// reach exactly the baseline fixpoint with fewer edge evaluations.
-  /// Do NOT set this for non-monotone apps driven by a fixed iteration
-  /// count (PR/TR): delaying their gathers changes the result. Typically
-  /// acquired through the GuidanceProvider (see RunGasCcGuided).
-  std::shared_ptr<const RRGuidance> guidance;
 };
 
 /// Run statistics mirroring EngineStats where meaningful.
@@ -54,13 +39,10 @@ struct GasStats {
   uint64_t supersteps = 0;
   uint64_t computations = 0;  ///< gather edge evaluations
   uint64_t updates = 0;       ///< apply() value changes
-  uint64_t skipped = 0;       ///< gather evaluations bypassed by RR guidance
   uint64_t messages = 0;
   uint64_t bytes = 0;
   double compute_seconds = 0;
   double comm_seconds = 0;  ///< simulated (BSP max over nodes per step)
-  /// Guidance acquisition cost for guided runs (0 for baselines).
-  double guidance_seconds = 0;
   double RuntimeSeconds() const { return compute_seconds + comm_seconds; }
 };
 
@@ -119,7 +101,6 @@ class GasEngine {
 
     const Csr& in = graph_.in();
     const Csr& out = graph_.out();
-    const RRGuidance* rrg = options_.guidance.get();
     for (uint32_t iter = 0; iter < max_iters; ++iter) {
       uint64_t active_count = active.CountOnes();
       if (active_count == 0) break;
@@ -133,17 +114,6 @@ class GasEngine {
 
       active.ForEachSetBit([&](size_t sv) {
         VertexId v = static_cast<VertexId>(sv);
-        // "Start late" (guided runs): a locked vertex neither gathers nor
-        // scatters this superstep — it only stays active, so its deferred
-        // gather happens at its unlock level (supersteps here are 0-based,
-        // guidance levels 1-based, hence iter + 1). No update is lost:
-        // the unlock gather scans all in-edges, and any later predecessor
-        // change re-signals v through the scatter phase.
-        if (rrg != nullptr && iter + 1 < rrg->last_iter(v)) {
-          stats.skipped += in.degree(v);
-          next.SetBit(v);
-          return;
-        }
         // Gather phase: every in-edge contributes; partial sums travel
         // from each mirror to the master (one message per mirror).
         V acc = identity;

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <numeric>
 
-#include "slfe/common/logging.h"
 #include "slfe/common/scoped_file.h"
 #include "slfe/common/timer.h"
 
@@ -128,73 +127,6 @@ OocStats OocPr(OocEngine& engine, const Graph& graph, uint32_t iterations,
   return stats;
 }
 
-OocStats OocPrGuided(OocEngine& engine, const Graph& graph,
-                     uint32_t iterations, std::vector<float>* ranks,
-                     GuidanceProvider* provider) {
-  GuidanceProvider& p = ResolveProvider(provider);
-  GuidanceRequest request;
-  request.policy = GuidanceRootPolicy::kSourceVertices;
-  return OocPrGuided(engine, graph, iterations, ranks,
-                     p.Acquire(graph, request));
-}
-
-OocStats OocPrGuided(OocEngine& engine, const Graph& graph,
-                     uint32_t iterations, std::vector<float>* ranks,
-                     const GuidanceAcquisition& acq) {
-  OocStats stats;
-  VertexId n = engine.num_vertices();
-  SLFE_CHECK_EQ(graph.num_vertices(), n);
-  SLFE_CHECK_EQ(graph.num_edges(), engine.num_edges());
-  ranks->assign(n, 1.0f);
-  std::vector<float>& r = *ranks;
-  std::vector<float> contrib(n), acc(n);
-  for (VertexId v = 0; v < n; ++v) {
-    VertexId od = graph.out_degree(v);
-    contrib[v] = od > 0 ? 1.0f / static_cast<float>(od) : 1.0f;
-  }
-
-  stats.guidance_seconds = acq.acquire_seconds;
-  const RRGuidance* rrg = acq.get();
-
-  // Finish early (ArithRunner's multiRuler, out-of-core form): RulerS[v]
-  // counts consecutive sweeps with an exactly unchanged damped rank; once
-  // it reaches v's stability horizon (StabilityHorizon in rr_guidance.h)
-  // the vertex freezes and its in-edge accumulations are skipped.
-  std::vector<uint32_t> stable_cnt(n, 0);
-  std::vector<uint8_t> frozen(n, 0);
-
-  uint64_t skipped = 0;
-  for (uint32_t it = 0; it < iterations; ++it) {
-    std::fill(acc.begin(), acc.end(), 0.0f);
-    engine.RunIteration(
-        [&](VertexId src, VertexId dst, Weight) {
-          if (frozen[dst] != 0) {
-            ++skipped;
-            return;
-          }
-          acc[dst] += contrib[src];
-        },
-        &stats);
-    for (VertexId v = 0; v < n; ++v) {
-      if (frozen[v] != 0) continue;  // EC: the cached value stands in
-      float next = 0.15f + 0.85f * acc[v];
-      if (next == r[v]) {
-        if (++stable_cnt[v] >= StabilityHorizon(rrg, v)) {
-          frozen[v] = 1;
-        }
-      } else {
-        stable_cnt[v] = 0;
-      }
-      r[v] = next;
-      VertexId od = graph.out_degree(v);
-      contrib[v] = od > 0 ? next / static_cast<float>(od) : next;
-    }
-  }
-  stats.skipped = skipped;
-  stats.computations -= skipped;  // bypassed evaluations are not work done
-  return stats;
-}
-
 OocStats OocCc(OocEngine& engine, std::vector<uint32_t>* labels) {
   OocStats stats;
   VertexId n = engine.num_vertices();
@@ -213,60 +145,6 @@ OocStats OocCc(OocEngine& engine, std::vector<uint32_t>* labels) {
         },
         &stats);
   }
-  return stats;
-}
-
-OocStats OocCcGuided(OocEngine& engine, const Graph& graph,
-                     std::vector<uint32_t>* labels,
-                     GuidanceProvider* provider) {
-  GuidanceProvider& p = ResolveProvider(provider);
-  GuidanceRequest request;
-  request.policy = GuidanceRootPolicy::kLocalMinima;
-  return OocCcGuided(engine, graph, labels, p.Acquire(graph, request));
-}
-
-OocStats OocCcGuided(OocEngine& engine, const Graph& graph,
-                     std::vector<uint32_t>* labels,
-                     const GuidanceAcquisition& acq) {
-  OocStats stats;
-  VertexId n = engine.num_vertices();
-  // The guidance is indexed by shard-streamed vertex ids, so the graph
-  // must be the one the shards were built from.
-  SLFE_CHECK_EQ(graph.num_vertices(), n);
-  SLFE_CHECK_EQ(graph.num_edges(), engine.num_edges());
-  labels->resize(n);
-  std::iota(labels->begin(), labels->end(), 0u);
-  std::vector<uint32_t>& l = *labels;
-
-  const RRGuidance& rrg = *acq.guidance;
-  stats.guidance_seconds = acq.acquire_seconds;
-
-  // "Start late" over full-graph sweeps: skipping a locked destination
-  // only delays its updates — once iter passes the sweep depth every
-  // destination is unlocked and each further sweep re-reads all in-edges,
-  // so iterating to an unchanged sweep yields OocCc's exact fixpoint. The
-  // depth bound keeps the loop alive while skips can still hide progress.
-  uint32_t iter = 0;
-  bool changed = true;
-  uint64_t skipped = 0;
-  while (changed || iter < rrg.depth()) {
-    ++iter;
-    changed = false;
-    engine.RunIteration(
-        [&](VertexId src, VertexId dst, Weight) {
-          if (iter < rrg.last_iter(dst)) {
-            ++skipped;
-            return;
-          }
-          if (l[src] < l[dst]) {
-            l[dst] = l[src];
-            changed = true;
-          }
-        },
-        &stats);
-  }
-  stats.skipped = skipped;
-  stats.computations -= skipped;  // bypassed evaluations are not work done
   return stats;
 }
 

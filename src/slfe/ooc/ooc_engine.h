@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "slfe/common/status.h"
-#include "slfe/core/guidance_provider.h"
 #include "slfe/graph/graph.h"
 
 namespace slfe::ooc {
@@ -16,12 +15,9 @@ namespace slfe::ooc {
 struct OocStats {
   uint64_t iterations = 0;
   uint64_t computations = 0;
-  uint64_t skipped = 0;  ///< edge updates bypassed by RR guidance
   uint64_t bytes_read = 0;  ///< real shard-file bytes streamed from disk
   double io_seconds = 0;
   double compute_seconds = 0;
-  /// Guidance acquisition cost for guided runs (0 for baselines).
-  double guidance_seconds = 0;
   double RuntimeSeconds() const { return io_seconds + compute_seconds; }
 };
 
@@ -69,49 +65,9 @@ class OocEngine {
 OocStats OocPr(OocEngine& engine, const Graph& graph, uint32_t iterations,
                std::vector<float>* ranks);
 
-/// PageRank with RR guidance applied to the shard sweeps, the arithmetic
-/// counterpart of OocCcGuided. For arithmetic apps the paper's guidance
-/// form is "finish early" rather than "start late" (Algorithm 5's
-/// multiRuler): once a destination's damped rank has been exactly stable
-/// for lastIter consecutive sweeps (with a small floor guarding short
-/// cycle-bound horizons, and never for vertices the sweep did not visit),
-/// it is early-converged — its in-edge accumulations are bypassed for the
-/// remaining sweeps and the cached value stands in. Ranks match OocPr to
-/// float precision (a frozen value is by construction the value the next
-/// sweeps keep reproducing); `stats.skipped` counts the bypassed edge
-/// updates. Guidance comes from `provider` (nullptr =
-/// GuidanceProvider::Global()) with the kSourceVertices policy, sharing
-/// the cache/store with every other engine.
-OocStats OocPrGuided(OocEngine& engine, const Graph& graph,
-                     uint32_t iterations, std::vector<float>* ranks,
-                     GuidanceProvider* provider = nullptr);
-
-/// As above with a pre-acquired guidance, for callers that already paid
-/// the acquisition (the registry's ooc runner records hit/coalesced
-/// accounting from its own Acquire) — avoids a second provider lookup.
-OocStats OocPrGuided(OocEngine& engine, const Graph& graph,
-                     uint32_t iterations, std::vector<float>* ranks,
-                     const GuidanceAcquisition& acq);
-
 /// GraphChi-style connected components (iterate min-label sweeps to a
 /// fixpoint), Fig. 6a/6b comparator.
 OocStats OocCc(OocEngine& engine, std::vector<uint32_t>* labels);
-
-/// Connected components with RR "start late" applied to the shard sweeps:
-/// a destination's label updates are skipped until the sweep counter
-/// reaches its guidance lastIter. Every post-unlock sweep re-reads all of
-/// a destination's in-edges, so the fixpoint matches OocCc exactly; the
-/// guidance comes from `provider` (nullptr = GuidanceProvider::Global()),
-/// sharing the cache with the in-memory engines.
-OocStats OocCcGuided(OocEngine& engine, const Graph& graph,
-                     std::vector<uint32_t>* labels,
-                     GuidanceProvider* provider = nullptr);
-
-/// Pre-acquired-guidance form (see OocPrGuided). The acquisition must
-/// hold a non-null guidance.
-OocStats OocCcGuided(OocEngine& engine, const Graph& graph,
-                     std::vector<uint32_t>* labels,
-                     const GuidanceAcquisition& acq);
 
 }  // namespace slfe::ooc
 

@@ -34,7 +34,7 @@ class Cluster {
   World& world() { return *world_; }
 
   /// Runs `fn(ctx)` once per rank, concurrently, and joins. Can be invoked
-  /// repeatedly; mailboxes and barrier state persist across runs.
+  /// repeatedly; the World's barrier state persists across runs.
   void Run(const std::function<void(NodeContext&)>& fn);
 
  private:

@@ -2,38 +2,8 @@
 
 namespace slfe::sim {
 
-World::World(int num_nodes)
-    : num_nodes_(num_nodes),
-      mailboxes_(num_nodes),
-      per_node_(num_nodes) {
+World::World(int num_nodes) : num_nodes_(num_nodes) {
   SLFE_CHECK_GE(num_nodes, 1);
-}
-
-void World::Send(int src, int dst, const void* data, size_t size) {
-  SLFE_CHECK_LT(dst, num_nodes_);
-  Message m;
-  m.src_node = src;
-  m.payload.resize(size);
-  if (size > 0) std::memcpy(m.payload.data(), data, size);
-  {
-    std::lock_guard<std::mutex> lock(mailboxes_[dst].mu);
-    mailboxes_[dst].queue.push_back(std::move(m));
-  }
-  if (src != dst) {
-    // Loopback traffic is free: a real cluster node does not cross the
-    // network to talk to itself.
-    per_node_[src].messages.Add();
-    per_node_[src].bytes.Add(size);
-    total_messages_.Add();
-    total_bytes_.Add(size);
-  }
-}
-
-std::vector<Message> World::Recv(int rank) {
-  std::lock_guard<std::mutex> lock(mailboxes_[rank].mu);
-  std::vector<Message> out;
-  out.swap(mailboxes_[rank].queue);
-  return out;
 }
 
 void World::Barrier() {
@@ -88,15 +58,6 @@ uint64_t World::AllReduceSum(int rank, uint64_t value) {
   reduce_mu_.unlock();
   Barrier();
   return result;
-}
-
-void World::ResetTraffic() {
-  total_messages_.Reset();
-  total_bytes_.Reset();
-  for (auto& t : per_node_) {
-    t.messages.Reset();
-    t.bytes.Reset();
-  }
 }
 
 }  // namespace slfe::sim

@@ -1,16 +1,11 @@
 #ifndef SLFE_SIM_COMM_H_
 #define SLFE_SIM_COMM_H_
 
-#include <atomic>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <mutex>
-#include <vector>
 
-#include "slfe/common/counters.h"
 #include "slfe/common/logging.h"
 
 namespace slfe::sim {
@@ -30,27 +25,15 @@ struct CostModel {
   }
 };
 
-/// One inter-node message: an opaque byte payload.
-struct Message {
-  int src_node = 0;
-  std::vector<uint8_t> payload;
-};
-
-/// In-memory stand-in for MPI. N ranks (threads) share a World; each rank
-/// interacts through its own Comm handle (rank id + mailboxes + barrier +
-/// reduction scratch). All collective calls must be invoked by every rank.
+/// In-memory stand-in for MPI's collectives. N ranks (threads) share a
+/// World: a barrier and reduction scratch. No payload crosses it — the
+/// engines charge their traffic as counts through CostModel. All
+/// collective calls must be invoked by every rank.
 class World {
  public:
   explicit World(int num_nodes);
 
   int num_nodes() const { return num_nodes_; }
-
-  /// Delivers a message into `dst`'s mailbox. Thread-safe.
-  void Send(int src, int dst, const void* data, size_t size);
-
-  /// Drains and returns all messages queued for `rank`. Call after a
-  /// barrier so that all sends for the superstep have landed.
-  std::vector<Message> Recv(int rank);
 
   /// Sense-reversing barrier across all ranks.
   void Barrier();
@@ -63,30 +46,8 @@ class World {
   /// All-reduce specialization: sum of uint64 (active-vertex counts etc.).
   uint64_t AllReduceSum(int rank, uint64_t value);
 
-  /// Traffic accounting for the current epoch (reset via ResetTraffic).
-  uint64_t TotalMessages() const { return total_messages_.Get(); }
-  uint64_t TotalBytes() const { return total_bytes_.Get(); }
-  uint64_t NodeMessages(int rank) const {
-    return per_node_[rank].messages.Get();
-  }
-  uint64_t NodeBytes(int rank) const { return per_node_[rank].bytes.Get(); }
-  void ResetTraffic();
-
  private:
-  struct Mailbox {
-    std::mutex mu;
-    std::vector<Message> queue;
-  };
-  struct NodeTraffic {
-    Counter messages;
-    Counter bytes;
-  };
-
   int num_nodes_;
-  std::vector<Mailbox> mailboxes_;
-  std::vector<NodeTraffic> per_node_;  // outbound traffic per rank
-  Counter total_messages_;
-  Counter total_bytes_;
 
   // Barrier state (sense-reversing).
   std::mutex barrier_mu_;

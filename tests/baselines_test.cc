@@ -84,37 +84,6 @@ INSTANTIATE_TEST_SUITE_P(Placements, GasPlacementTest,
                          ::testing::Values(gas::Placement::kRandomVertexCut,
                                            gas::Placement::kHybridCut));
 
-TEST(GasGuidedTest, GuidedCcMatchesBaselineAndSkipsWork) {
-  Graph g = SymmetricRmat(256, 1500, 11);
-  gas::GasOptions opt;
-  opt.num_nodes = 4;
-  auto baseline = gas::RunGasCc(g, opt);
-  GuidanceProvider provider;
-  auto guided = gas::RunGasCcGuided(g, opt, &provider);
-  EXPECT_EQ(guided.labels, baseline.labels);
-  EXPECT_GT(guided.stats.skipped, 0u);  // "start late" deferred gathers
-  EXPECT_EQ(provider.cache_stats().misses, 1u);
-  // A repeat run shares the provider's cached guidance (§4.4 amortization
-  // now spans the GAS comparator too).
-  auto repeat = gas::RunGasCcGuided(g, opt, &provider);
-  EXPECT_EQ(repeat.labels, baseline.labels);
-  EXPECT_EQ(provider.cache_stats().hits, 1u);
-}
-
-TEST(GasGuidedTest, GuidedSsspMatchesBaseline) {
-  Graph g = WeightedRmat(512, 4000, 7);
-  gas::GasOptions opt;
-  opt.num_nodes = 8;
-  auto baseline = gas::RunGasSssp(g, 0, opt);
-  GuidanceProvider provider;
-  auto guided = gas::RunGasSsspGuided(g, 0, opt, &provider);
-  ASSERT_EQ(guided.dist.size(), baseline.dist.size());
-  for (size_t v = 0; v < baseline.dist.size(); ++v) {
-    EXPECT_EQ(guided.dist[v], baseline.dist[v]) << "v=" << v;
-  }
-  EXPECT_GT(guided.stats.skipped, 0u);
-}
-
 TEST(GasEngineTest, PrMatchesReference) {
   Graph g = WeightedRmat(512, 4000, 7);
   gas::GasOptions opt;
@@ -306,64 +275,6 @@ TEST(OocEngineTest, CcMatchesReference) {
   auto ref = ReferenceCc(g);
   for (size_t v = 0; v < ref.size(); ++v) {
     EXPECT_EQ(labels[v], ref[v]) << "v=" << v;
-  }
-  engine.RemoveFiles();
-}
-
-TEST(OocEngineTest, GuidedCcMatchesBaselineAndSkipsWork) {
-  Graph g = SymmetricRmat(256, 1500, 11);
-  std::string dir = ::testing::TempDir() + "slfe_ooc_t4g";
-  auto engine = ooc::OocEngine::Build(g, dir, 4).value();
-  std::vector<uint32_t> baseline, guided;
-  ooc::OocCc(engine, &baseline);
-  GuidanceProvider provider;
-  ooc::OocStats stats = ooc::OocCcGuided(engine, g, &guided, &provider);
-  EXPECT_EQ(guided, baseline);
-  EXPECT_GT(stats.skipped, 0u);  // "start late" bypassed some updates
-  EXPECT_EQ(provider.cache_stats().misses, 1u);
-  // A second guided run retrieves the guidance from the provider's cache.
-  ooc::OocCcGuided(engine, g, &guided, &provider);
-  EXPECT_EQ(guided, baseline);
-  EXPECT_EQ(provider.cache_stats().hits, 1u);
-  engine.RemoveFiles();
-}
-
-TEST(OocEngineTest, GuidedPrMatchesBaselineAndSkipsWork) {
-  // A deep chain makes early convergence deterministic: vertex v's rank is
-  // exact (and float-stable) once the sweep count passes its depth, so low
-  // vertices freeze long before the run ends while high ones keep going.
-  Graph g = Graph::FromEdges(GenerateChain(40));
-  std::string dir = ::testing::TempDir() + "slfe_ooc_prg";
-  auto engine = ooc::OocEngine::Build(g, dir, 3).value();
-  constexpr uint32_t kIters = 60;
-  std::vector<float> baseline, guided;
-  ooc::OocPr(engine, g, kIters, &baseline);
-
-  GuidanceProvider provider;
-  ooc::OocStats stats =
-      ooc::OocPrGuided(engine, g, kIters, &guided, &provider);
-  ASSERT_EQ(guided.size(), baseline.size());
-  for (size_t v = 0; v < baseline.size(); ++v) {
-    EXPECT_NEAR(guided[v], baseline[v], 1e-6f) << "v=" << v;
-  }
-  EXPECT_GT(stats.skipped, 0u);  // early-converged vertices bypassed edges
-  EXPECT_EQ(provider.cache_stats().misses, 1u);
-  // A second guided run retrieves the guidance from the provider's cache.
-  ooc::OocPrGuided(engine, g, kIters, &guided, &provider);
-  EXPECT_EQ(provider.cache_stats().hits, 1u);
-  engine.RemoveFiles();
-}
-
-TEST(OocEngineTest, GuidedPrMatchesBaselineOnRmat) {
-  Graph g = WeightedRmat(512, 4000, 7);
-  std::string dir = ::testing::TempDir() + "slfe_ooc_prg2";
-  auto engine = ooc::OocEngine::Build(g, dir, 3).value();
-  std::vector<float> baseline, guided;
-  ooc::OocPr(engine, g, 20, &baseline);
-  GuidanceProvider provider;
-  ooc::OocPrGuided(engine, g, 20, &guided, &provider);
-  for (size_t v = 0; v < baseline.size(); ++v) {
-    EXPECT_NEAR(guided[v], baseline[v], 1e-5f) << "v=" << v;
   }
   engine.RemoveFiles();
 }

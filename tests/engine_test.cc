@@ -1,6 +1,6 @@
 // Tests for the distributed engine layer: DistGraph mirror accounting,
-// mode selection, activation semantics, counters, the transition
-// reactivation rules, and communication accounting.
+// mode selection, activation semantics, counters, and communication
+// accounting.
 
 #include <gtest/gtest.h>
 
@@ -71,7 +71,9 @@ TEST(DistGraphTest, MirrorCountBounds) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_LE(dg.MirrorNodeCount(v), nodes - 1);
     // A vertex with out-degree 0 has no mirrors.
-    if (g.out_degree(v) == 0) EXPECT_EQ(dg.MirrorNodeCount(v), 0);
+    if (g.out_degree(v) == 0) {
+      EXPECT_EQ(dg.MirrorNodeCount(v), 0);
+    }
   }
 }
 
@@ -111,6 +113,9 @@ TEST(DistGraphTest, OwnerLookupConsistentWithRanges) {
 // ------------------------------------------------------------ DistEngine
 
 // Minimal BFS over the engine to exercise collectives deterministically.
+// V is the engine's accumulator type: uint32_t levels for the BFS tests,
+// float distances for the SSSP ones.
+template <typename V = uint32_t>
 struct EngineHarness {
   explicit EngineHarness(const Graph& graph, int nodes, int threads,
                          EngineOptions options = {})
@@ -119,7 +124,7 @@ struct EngineHarness {
         cluster(nodes, threads) {}
 
   DistGraph dg;
-  DistEngine<uint32_t> engine;
+  DistEngine<V> engine;
   sim::Cluster cluster;
 };
 
@@ -327,7 +332,7 @@ TEST(DistEngineTest, CommBytesGrowWithNodeCount) {
   Graph g = Graph::FromEdges(GenerateErdosRenyi(512, 4000, 11, true));
   uint64_t bytes_prev = 0;
   for (int nodes : {2, 8}) {
-    EngineHarness h(g, nodes, 1);
+    EngineHarness<float> h(g, nodes, 1);
     std::vector<float> dist(g.num_vertices(),
                             std::numeric_limits<float>::infinity());
     dist[0] = 0;
@@ -375,7 +380,7 @@ TEST(DistEngineTest, ProcessVerticesReducesSum) {
 
 TEST(DistEngineTest, PerIterationTraceMatchesTotals) {
   Graph g = Graph::FromEdges(GenerateGrid(12, 12, true));
-  EngineHarness h(g, 2, 1);
+  EngineHarness<float> h(g, 2, 1);
   std::vector<float> dist(g.num_vertices(),
                           std::numeric_limits<float>::infinity());
   dist[0] = 0;

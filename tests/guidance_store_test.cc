@@ -107,8 +107,9 @@ TEST(GuidanceStoreTest, FlippedPayloadByteIsRejected) {
 
 TEST(GuidanceStoreTest, CorruptedHeaderFieldIsRejected) {
   // depth (offset 36) is validated by nothing but the checksum — a
-  // flipped depth that loaded "valid" would silently change guided-run
-  // iteration bounds (OocCcGuided loops while iter < depth).
+  // flipped depth that loaded "valid" would be reported as the run's
+  // guidance_depth, and a re-save would pick its codec from it (Save
+  // packs levels byte-wide only when depth <= 254).
   StoreFixture fx("slfe_gs_header");
   ASSERT_TRUE(fx.store.Save(fx.key, fx.guidance).ok());
   std::string path = fx.store.EntryPath(fx.key);

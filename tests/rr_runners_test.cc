@@ -1,8 +1,8 @@
-// Focused tests of the SLFE core API layer: the three delayed-update
-// recovery variants of MinMaxRunner, the ArithRunner's early-convergence
-// (EC) semantics, and the runtime-function invariants (Algorithm 2/3):
-// skipped work is recorded, verification cost is reclassified, and all
-// variants agree with the baseline fixpoint.
+// Focused tests of the SLFE core API layer: MinMaxRunner's start-late
+// schedule, the ArithRunner's early-convergence (EC) semantics, and the
+// runtime-function invariants (Algorithm 2): skipped work is recorded,
+// verification cost is reclassified, and RR runs reach the baseline
+// fixpoint.
 
 #include <gtest/gtest.h>
 
@@ -28,14 +28,14 @@ struct SsspRun {
 };
 
 SsspRun RunSsspVariant(const Graph& g, int nodes, int threads,
-                       const RRGuidance* guidance, RRVariant variant) {
+                       const RRGuidance* guidance) {
   SsspRun out;
   out.dist.assign(g.num_vertices(), kInf);
   out.dist[0] = 0.0f;
   std::vector<float>& dist = out.dist;
   DistGraph dg = DistGraph::Build(g, nodes);
   DistEngine<float> engine(dg, EngineOptions{});
-  MinMaxRunner<float> runner(&engine, guidance, variant);
+  MinMaxRunner<float> runner(&engine, guidance);
   auto gather = [&dist](float acc, VertexId src, Weight w) {
     float c = AtomicLoad(&dist[src]) + w;
     return c < acc ? c : acc;
@@ -70,44 +70,36 @@ Graph TestGraph(uint64_t seed, float max_weight = 256.0f) {
   return Graph::FromEdges(e);
 }
 
-class RRVariantTest : public ::testing::TestWithParam<RRVariant> {};
-
-TEST_P(RRVariantTest, MatchesDijkstraOnRmat) {
+TEST(MinMaxRunnerTest, MatchesDijkstraOnRmat) {
   Graph g = TestGraph(31);
   RRGuidance guidance = RRGuidance::Generate(g, {0});
-  auto run = RunSsspVariant(g, 4, 1, &guidance, GetParam());
+  auto run = RunSsspVariant(g, 4, 1, &guidance);
   auto ref = ReferenceSssp(g, 0);
   for (size_t v = 0; v < ref.size(); ++v) {
     EXPECT_FLOAT_EQ(run.dist[v], ref[v]) << "v=" << v;
   }
 }
 
-TEST_P(RRVariantTest, MatchesDijkstraOnDeepGrid) {
+TEST(MinMaxRunnerTest, MatchesDijkstraOnDeepGrid) {
   Graph g = Graph::FromEdges(GenerateGrid(24, 24, true, 8, 128.0f));
   RRGuidance guidance = RRGuidance::Generate(g, {0});
-  auto run = RunSsspVariant(g, 3, 2, &guidance, GetParam());
+  auto run = RunSsspVariant(g, 3, 2, &guidance);
   auto ref = ReferenceSssp(g, 0);
   for (size_t v = 0; v < ref.size(); ++v) {
     EXPECT_FLOAT_EQ(run.dist[v], ref[v]) << "v=" << v;
   }
 }
 
-TEST_P(RRVariantTest, SkipsWorkDuringDelay) {
+TEST(MinMaxRunnerTest, SkipsWorkDuringDelay) {
   Graph g = TestGraph(32);
   RRGuidance guidance = RRGuidance::Generate(g, {0});
-  auto run = RunSsspVariant(g, 2, 1, &guidance, GetParam());
+  auto run = RunSsspVariant(g, 2, 1, &guidance);
   EXPECT_GT(run.result.stats.skipped, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Variants, RRVariantTest,
-                         ::testing::Values(RRVariant::kGatherAllAtStart,
-                                           RRVariant::kDirtyPush,
-                                           RRVariant::kAllPush));
-
 TEST(MinMaxRunnerTest, BaselineRunHasNoSkipsOrSweep) {
   Graph g = TestGraph(33);
-  auto run = RunSsspVariant(g, 2, 1, /*guidance=*/nullptr,
-                            RRVariant::kGatherAllAtStart);
+  auto run = RunSsspVariant(g, 2, 1, /*guidance=*/nullptr);
   EXPECT_EQ(run.result.stats.skipped, 0u);
   EXPECT_EQ(run.result.safety_sweep_updates, 0u);
   EXPECT_EQ(run.result.verification_computations, 0u);
@@ -119,7 +111,7 @@ TEST(MinMaxRunnerTest, CleanSweepCostReclassified) {
   // verification rather than algorithm computations.
   Graph g = TestGraph(34);
   RRGuidance guidance = RRGuidance::Generate(g, {0});
-  auto run = RunSsspVariant(g, 2, 1, &guidance, RRVariant::kGatherAllAtStart);
+  auto run = RunSsspVariant(g, 2, 1, &guidance);
   EXPECT_EQ(run.result.safety_sweep_updates, 0u);
 }
 
@@ -129,7 +121,7 @@ TEST(MinMaxRunnerTest, WrongRootGuidanceStillConverges) {
   // fixpoint (Theorem 1 made unconditional).
   Graph g = TestGraph(35);
   RRGuidance guidance = RRGuidance::Generate(g, {g.num_vertices() / 2});
-  auto run = RunSsspVariant(g, 2, 1, &guidance, RRVariant::kGatherAllAtStart);
+  auto run = RunSsspVariant(g, 2, 1, &guidance);
   auto ref = ReferenceSssp(g, 0);
   for (size_t v = 0; v < ref.size(); ++v) {
     EXPECT_FLOAT_EQ(run.dist[v], ref[v]) << "v=" << v;
@@ -141,7 +133,7 @@ TEST(MinMaxRunnerTest, EmptyGuidanceStillConverges) {
   // every vertex unlocked from iteration 1 — equivalent to the baseline.
   Graph g = TestGraph(36);
   RRGuidance guidance = RRGuidance::Generate(g, {});
-  auto run = RunSsspVariant(g, 2, 1, &guidance, RRVariant::kGatherAllAtStart);
+  auto run = RunSsspVariant(g, 2, 1, &guidance);
   auto ref = ReferenceSssp(g, 0);
   for (size_t v = 0; v < ref.size(); ++v) {
     EXPECT_FLOAT_EQ(run.dist[v], ref[v]) << "v=" << v;
