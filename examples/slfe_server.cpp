@@ -55,10 +55,7 @@ struct ServerOptions {
   double slow_job_ms = 0;
   std::string metrics_dump;
   size_t trace_ring = 64;
-  // Demand sketch (sketch/hotness.h): 0 width/depth = sized from the
-  // defaults (epsilon, delta); threshold 0 = admit every store write.
-  size_t sketch_width = 0;
-  size_t sketch_depth = 0;
+  // Demand-gated store admission: threshold 0 = admit every store write.
   uint64_t hot_admit_threshold = 0;
   size_t max_tracked_tenants = 256;
   std::map<std::string, slfe::GuidanceTenantBudget> tenant_budgets;
@@ -122,20 +119,16 @@ void PrintUsage() {
       "job traces\n"
       "                       (default 64; 'trace recent' reads this "
       "ring)\n"
-      "  --sketch-width=N / --sketch-depth=N\n"
-      "                       count-min demand sketch geometry (default: "
-      "sized from\n"
-      "                       epsilon=1/1024, delta=0.01; 'hot [k]' reads "
-      "it)\n"
       "  --hot-admit-threshold=N\n"
       "                       persist guidance to the store only once a "
-      "graph's\n"
-      "                       estimated demand reaches N requests (0 = "
-      "always)\n"
+      "graph has\n"
+      "                       been requested N times (0 = always; 'hot [k]' "
+      "ranks\n"
+      "                       graphs by request count)\n"
       "  --max-tracked-tenants=N\n"
       "                       exact per-tenant stat rows; the tail "
       "aggregates into\n"
-      "                       one sketched row (default 256, 0 = "
+      "                       one untracked row (default 256, 0 = "
       "unlimited)\n"
       "  --mini-chunk=N       work-stealing mini-chunk size for the "
       "partitioned sweep\n"
@@ -201,8 +194,6 @@ slfe::service::JobServiceOptions ServiceOptions(const ServerOptions& opt) {
   sopt.slow_job_ms = opt.slow_job_ms;
   sopt.trace_ring_capacity = opt.trace_ring;
   sopt.metrics_dump_path = opt.metrics_dump;
-  sopt.hotness.sketch.width = opt.sketch_width;
-  sopt.hotness.sketch.depth = opt.sketch_depth;
   sopt.hot_admit_threshold = opt.hot_admit_threshold;
   sopt.max_tracked_tenants = opt.max_tracked_tenants;
   return sopt;
@@ -353,10 +344,6 @@ int main(int argc, char** argv) {
       opt.metrics_dump = value;
     } else if (ParseFlag(argv[i], "--trace-ring", &value)) {
       opt.trace_ring = static_cast<size_t>(std::atoi(value.c_str()));
-    } else if (ParseFlag(argv[i], "--sketch-width", &value)) {
-      opt.sketch_width = static_cast<size_t>(std::atoi(value.c_str()));
-    } else if (ParseFlag(argv[i], "--sketch-depth", &value)) {
-      opt.sketch_depth = static_cast<size_t>(std::atoi(value.c_str()));
     } else if (ParseFlag(argv[i], "--hot-admit-threshold", &value)) {
       opt.hot_admit_threshold = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--max-tracked-tenants", &value)) {

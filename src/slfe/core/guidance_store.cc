@@ -139,9 +139,9 @@ GuidanceStoreSweepStats GuidanceStore::SweepLocked() {
     bool pinned = false;
     // Phase-2 attribution ("" = no tenant, global budgets only).
     std::string tenant;
-    // Estimated reuse from the hotness oracle (0 when no oracle, or for
-    // names the fingerprint cannot be recovered from — those evict as
-    // coldest, which is right: nothing can be observing them).
+    // Demand from the hotness oracle (0 when no oracle, or for names the
+    // fingerprint cannot be recovered from — those evict as coldest,
+    // which is right: nothing can be observing them).
     uint64_t hotness = 0;
   };
   std::vector<EntryInfo> entries;
@@ -165,8 +165,8 @@ GuidanceStoreSweepStats GuidanceStore::SweepLocked() {
         auto tenant_it = graph_tenant_.find(fingerprint);
         if (tenant_it != graph_tenant_.end()) info.tenant = tenant_it->second;
         // One oracle call per entry per sweep; several entries of one
-        // graph repeat the call, but sweeps are rare and the sketch read
-        // is wait-free, so memoization would buy noise.
+        // graph repeat the call, but sweeps are rare and the oracle is a
+        // map lookup, so memoization would buy noise.
         if (gc_.hotness != nullptr) info.hotness = gc_.hotness(fingerprint);
       }
       entries.push_back(std::move(info));
@@ -187,7 +187,7 @@ GuidanceStoreSweepStats GuidanceStore::SweepLocked() {
     return a->name < b->name;
   };
   // Budget-phase victim order: coldest-first when the hotness oracle is
-  // wired (estimated reuse beats raw recency — a stale-but-hot graph's
+  // wired (observed demand beats raw recency — a stale-but-hot graph's
   // guidance outlives a fresh one-shot's), pure mtime-LRU otherwise.
   // The LRU order breaks hotness ties either way, so ordering stays
   // total and deterministic.

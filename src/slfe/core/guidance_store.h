@@ -95,7 +95,7 @@ struct GuidanceStoreGcOptions {
   /// sweep evicts coldest-first — ascending hotness(graph_fingerprint),
   /// with the (mtime, name) LRU order breaking hotness ties — so a
   /// stale-but-hot graph outlives a fresh-but-cold one. The JobService
-  /// wires this to its request-stream sketch (HotnessTracker estimates).
+  /// wires this to its exact per-version request counts (GraphRequests).
   /// TTL expiry (phase 1) stays purely age-based, pinning is unchanged,
   /// and nullptr preserves the historic pure-mtime LRU. Not a limit:
   /// setting only this never causes a sweep to remove anything.

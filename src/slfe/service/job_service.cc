@@ -45,7 +45,7 @@ JobServiceOptions Normalize(JobServiceOptions o) {
 /// burning a worker on them.
 api::SessionOptions SessionOptionsFor(const JobServiceOptions& o,
                                       obs::MetricsRegistry* metrics,
-                                      HotnessTracker* tracker) {
+                                      const JobService* service) {
   api::SessionOptions s;
   s.num_nodes = o.job_nodes;
   s.threads_per_node = o.job_threads;
@@ -55,18 +55,18 @@ api::SessionOptions SessionOptionsFor(const JobServiceOptions& o,
   // The provider the session constructs records its generation/repair/
   // store-load durations into the service's registry.
   s.provider.metrics = metrics;
-  // Store GC ranks budget-phase victims by the sketch's estimated reuse
-  // (coldest first) instead of raw mtime recency — a stale-but-hot
-  // graph's guidance outlives a fresh one-shot's. The tracker outlives
-  // the session (declaration order in JobService), so the captured
-  // pointer is safe for the provider's whole lifetime.
-  s.provider.store_gc.hotness = [tracker](uint64_t fingerprint) {
-    return tracker->EstimateGraph(fingerprint);
+  // Store GC ranks budget-phase victims by request count (coldest
+  // first) instead of raw mtime recency — a stale-but-hot graph's
+  // guidance outlives a fresh one-shot's. The demand map outlives the
+  // session (declaration order in JobService), so the captured pointer
+  // is safe for the provider's whole lifetime.
+  s.provider.store_gc.hotness = [service](uint64_t fingerprint) {
+    return service->GraphRequests(fingerprint);
   };
   if (o.hot_admit_threshold > 0) {
     const uint64_t threshold = o.hot_admit_threshold;
-    s.provider.store_admission = [tracker, threshold](uint64_t fingerprint) {
-      return tracker->EstimateGraph(fingerprint) >= threshold;
+    s.provider.store_admission = [service, threshold](uint64_t fingerprint) {
+      return service->GraphRequests(fingerprint) >= threshold;
     };
   }
   s.arena_dir = o.arena_dir;
@@ -111,9 +111,8 @@ JobService::JobService(JobServiceOptions options)
     : options_(Normalize(std::move(options))),
       recorder_(std::max<size_t>(1, options_.trace_ring_capacity),
                 std::max<size_t>(8, options_.trace_ring_capacity / 2)),
-      tracker_(options_.hotness),
       session_(std::make_unique<api::Session>(
-          SessionOptionsFor(options_, &metrics_, &tracker_))),
+          SessionOptionsFor(options_, &metrics_, this))),
       queue_(options_.queue_capacity),
       started_at_(std::chrono::steady_clock::now()) {
   queue_wait_hist_ = metrics_.GetHistogram(
@@ -173,7 +172,6 @@ Result<JobTicket> JobService::Submit(const JobRequest& request) {
   };
 
   if (!accepting_.load()) {
-    RecordDemand(request.tenant, 0, request.graph);
     return reject(Status::FailedPrecondition("service is shutting down"));
   }
   api::AppRequest app_request = ToAppRequest(request);
@@ -183,12 +181,7 @@ Result<JobTicket> JobService::Submit(const JobRequest& request) {
   // runtime reasons.
   Result<std::shared_ptr<const Graph>> resolved =
       session_->ResolveGraph(app_request);
-  if (!resolved.ok()) {
-    // Rejected before a graph resolved: the request still counts toward
-    // the tenant's request stream, under the "unresolved" fingerprint.
-    RecordDemand(request.tenant, 0, request.graph);
-    return reject(resolved.status());
-  }
+  if (!resolved.ok()) return reject(resolved.status());
 
   QueuedJob job;
   job.request = request;
@@ -196,11 +189,10 @@ Result<JobTicket> JobService::Submit(const JobRequest& request) {
   job.ticket = std::make_shared<JobHandle>();
   PrepareQueuedJob(&job);
 
-  // Stream the request through the sketch plane before any store
-  // interaction: the admission gate and the eviction oracle both read
-  // the estimate this record contributes to. A queue-full rejection
-  // below does NOT re-record — the demand was observed once.
-  RecordDemand(request.tenant, job.graph->fingerprint(), request.graph);
+  // Count the request before any store interaction: the admission gate
+  // and the eviction order both read the count. A queue-full rejection
+  // below still counts — the demand was observed.
+  RecordDemand(job.graph->fingerprint(), request.graph);
 
   GuidanceStore* store = provider().store();
   if (store != nullptr && request.enable_rr) {
@@ -248,17 +240,15 @@ Result<JobTicket> JobService::SubmitMutation(const MutationRequest& request) {
   };
 
   if (!accepting_.load()) {
-    RecordDemand(request.tenant, 0, request.graph);
     return reject(Status::FailedPrecondition("service is shutting down"));
   }
   std::shared_ptr<const Graph> current = session_->GetGraph(request.graph);
   if (current == nullptr) {
-    RecordDemand(request.tenant, 0, request.graph);
     return reject(Status::NotFound("graph not registered: " + request.graph));
   }
   // Mutations are demand too: a tenant rewriting a graph is the clearest
   // signal the graph's guidance will be wanted again.
-  RecordDemand(request.tenant, current->fingerprint(), request.graph);
+  RecordDemand(current->fingerprint(), request.graph);
 
   QueuedJob job;
   job.request.tenant = request.tenant;
@@ -287,22 +277,19 @@ Result<JobTicket> JobService::SubmitMutation(const MutationRequest& request) {
   return ticket;
 }
 
-void JobService::RecordDemand(const std::string& tenant, uint64_t fingerprint,
+void JobService::RecordDemand(uint64_t fingerprint,
                               const std::string& graph_name) {
-  HotnessTracker::RecordResult recorded = tracker_.Record(tenant, fingerprint);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  if (fingerprint != 0 && !graph_name.empty()) {
-    // First name wins: a symmetrized closure or mutated version keeps
-    // displaying under the name the tenant submitted against.
-    fingerprint_names_.emplace(fingerprint, graph_name);
-  }
-  if (recorded.first_tenant && options_.max_tracked_tenants > 0 &&
-      stats_.tenants.size() >= options_.max_tracked_tenants &&
-      stats_.tenants.find(tenant) == stats_.tenants.end()) {
-    // A genuinely new tenant arriving after the exact rows filled up:
-    // it will only ever be accounted in the sketched tail.
-    ++stats_.tenants_sketched;
-  }
+  std::lock_guard<std::mutex> lock(demand_mu_);
+  GraphDemand& demand = demand_[fingerprint];
+  // First name wins: a symmetrized closure or mutated version keeps
+  // displaying under the name the tenant submitted against.
+  if (demand.requests++ == 0) demand.name = graph_name;
+}
+
+uint64_t JobService::GraphRequests(uint64_t fingerprint) const {
+  std::lock_guard<std::mutex> lock(demand_mu_);
+  auto it = demand_.find(fingerprint);
+  return it != demand_.end() ? it->second.requests : 0;
 }
 
 TenantStats& JobService::TenantRowLocked(const std::string& tenant) {
@@ -313,11 +300,10 @@ TenantStats& JobService::TenantRowLocked(const std::string& tenant) {
     return stats_.tenants[tenant];
   }
   // Cap reached: exact accounting folds into the shared tail row (rows
-  // plus tail still sum to the service totals); the per-tenant request
-  // rate stays readable through the sketch (EstimateTenant) at O(1)
-  // memory. A tenant tracked once is tracked forever — rows are never
-  // evicted — so a row can never alternate between exact and tail.
-  return stats_.sketched_tail;
+  // plus tail still sum to the service totals). A tenant tracked once is
+  // tracked forever — rows are never evicted — so a row can never
+  // alternate between exact and tail.
+  return stats_.untracked;
 }
 
 void JobService::PrepareQueuedJob(QueuedJob* job) {
@@ -335,10 +321,18 @@ void JobService::PrepareQueuedJob(QueuedJob* job) {
 void JobService::ObserveCompletion(const QueuedJob& job, JobResult* result) {
   double e2e = SecondsSince(job.submitted_at);
   job_latency_hist_->Observe(e2e);
+  // A tenant without an exact stats row shares one series, so a peer
+  // naming a fresh tenant per job cannot grow the registry (and every
+  // scrape) by a histogram each.
+  bool tracked;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    tracked = stats_.tenants.count(job.request.tenant) > 0;
+  }
   metrics_
       .GetHistogram("slfe_tenant_job_latency_seconds",
                     "Submit-to-complete seconds per job, by tenant", 1e-6,
-                    {{"tenant", job.request.tenant}})
+                    {{"tenant", tracked ? job.request.tenant : "(untracked)"}})
       ->Observe(e2e);
   bool slow =
       options_.slow_job_ms > 0 && e2e * 1e3 > options_.slow_job_ms;
@@ -543,35 +537,32 @@ JobServiceStats JobService::Stats() const {
   snapshot.uptime_seconds = SecondsSince(started_at_);
   snapshot.pid = static_cast<int>(::getpid());
   snapshot.version = BuildVersionString();
-  snapshot.sketch_observations = tracker_.Observations();
-  snapshot.tenants_tracked = snapshot.tenants.size();
   return snapshot;
 }
 
 std::string JobService::RenderHot(size_t k) const {
   if (k == 0) k = 10;
-  std::vector<HotGraph> top = tracker_.TopGraphs(k);
-  std::string out;
+  std::vector<std::pair<uint64_t, GraphDemand>> ranked;
   {
-    char head[96];
-    std::snprintf(head, sizeof(head),
-                  "hot: k=%zu observations=%llu\n", k,
-                  static_cast<unsigned long long>(tracker_.Observations()));
-    out += head;
+    std::lock_guard<std::mutex> lock(demand_mu_);
+    ranked.assign(demand_.begin(), demand_.end());
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  size_t rank = 0;
-  for (const HotGraph& hit : top) {
-    ++rank;
-    auto named = fingerprint_names_.find(hit.fingerprint);
-    const char* name =
-        named != fingerprint_names_.end() ? named->second.c_str() : "?";
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "hot %zu graph=%s fp=%016llx est=%llu\n", rank, name,
-                  static_cast<unsigned long long>(hit.fingerprint),
-                  static_cast<unsigned long long>(hit.estimate));
-    out += line;
+  const size_t shown = std::min(k, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + shown, ranked.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.second.requests != b.second.requests) {
+                        return a.second.requests > b.second.requests;
+                      }
+                      return a.first < b.first;
+                    });
+  std::string out = "hot: k=" + std::to_string(k) + "\n";
+  for (size_t i = 0; i < shown; ++i) {
+    char fp[24];
+    std::snprintf(fp, sizeof(fp), "%016llx",
+                  static_cast<unsigned long long>(ranked[i].first));
+    out += "hot " + std::to_string(i + 1) + " graph=" + ranked[i].second.name +
+           " fp=" + fp +
+           " requests=" + std::to_string(ranked[i].second.requests) + "\n";
   }
   return out;
 }
@@ -616,8 +607,6 @@ void JobService::CollectMetrics() {
   set("slfe_trace_recorded_total",
       "Completed job traces pushed into the flight recorder",
       recorder_.recorded());
-  set("slfe_sketch_observations_total",
-      "Requests streamed through the demand sketch", s.sketch_observations);
   set("slfe_guidance_admission_skips_total",
       "Guidance store writes skipped for cold graphs", s.cache.admission_skips);
   set("slfe_guidance_admission_promotions_total",
@@ -629,27 +618,21 @@ void JobService::CollectMetrics() {
       ->Set(static_cast<double>(queue_.size()));
   metrics_.GetGauge("slfe_tenants_tracked",
                     "Tenants with exact per-tenant stat rows")
-      ->Set(static_cast<double>(s.tenants_tracked));
-  metrics_.GetGauge("slfe_tenants_sketched",
-                    "Tenants accounted only through the sketch tail")
-      ->Set(static_cast<double>(s.tenants_sketched));
-  std::vector<HotGraph> top = tracker_.TopGraphs(8);
+      ->Set(static_cast<double>(s.tenants.size()));
+  // One series per graph name, summed over every version served under it.
+  std::map<std::string, uint64_t> requests_by_name;
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    for (const HotGraph& hit : top) {
-      auto named = fingerprint_names_.find(hit.fingerprint);
-      char fp_hex[24];
-      std::snprintf(fp_hex, sizeof(fp_hex), "%016llx",
-                    static_cast<unsigned long long>(hit.fingerprint));
-      const std::string label =
-          named != fingerprint_names_.end() ? named->second
-                                            : std::string(fp_hex);
-      metrics_
-          .GetGauge("slfe_hot_graph_estimate",
-                    "Estimated request count for a heavy-hitter graph",
-                    {{"graph", label}})
-          ->Set(static_cast<double>(hit.estimate));
+    std::lock_guard<std::mutex> lock(demand_mu_);
+    for (const auto& [fingerprint, demand] : demand_) {
+      requests_by_name[demand.name] += demand.requests;
     }
+  }
+  for (const auto& [name, requests] : requests_by_name) {
+    metrics_
+        .GetCounter("slfe_graph_requests_total",
+                    "Submits and mutations against a graph, all versions",
+                    {{"graph", name}})
+        ->Set(requests);
   }
 }
 

@@ -24,7 +24,6 @@
 #include "slfe/obs/metrics.h"
 #include "slfe/obs/trace.h"
 #include "slfe/service/job_queue.h"
-#include "slfe/sketch/hotness.h"
 
 namespace slfe::service {
 
@@ -221,19 +220,9 @@ struct JobServiceStats {
   std::map<std::string, TenantStats> tenants;
   GuidanceProviderStats provider;
   GuidanceCacheStats cache;
-  /// Sketch plane: requests streamed through the HotnessTracker.
-  uint64_t sketch_observations = 0;
-  /// Exact per-tenant rows kept (== tenants.size()) vs. distinct tenants
-  /// spilled past the max_tracked_tenants cap into sketch-only
-  /// accounting. The spill count leans on count-min's never-underestimate
-  /// property for first-seen detection, so it is exact until a collision
-  /// makes a new tenant look already-seen.
-  uint64_t tenants_tracked = 0;
-  uint64_t tenants_sketched = 0;
-  /// Aggregate accounting for the spilled tail — tracked rows plus this
-  /// row still sum to the service totals, the per-tenant split within the
-  /// tail lives only in the sketch (EstimateTenant).
-  TenantStats sketched_tail;
+  /// One aggregate row for every tenant past the max_tracked_tenants cap,
+  /// so the tenant rows plus this one still sum to the service totals.
+  TenantStats untracked;
 };
 
 struct JobServiceOptions {
@@ -281,20 +270,17 @@ struct JobServiceOptions {
   /// exposition here every interval (atomic temp + rename), so external
   /// collectors can scrape a file instead of holding a connection.
   std::string metrics_dump_path;
-  /// Sketch plane sizing (src/slfe/sketch/): every submission — query,
-  /// mutation, or rejected request — is streamed through a HotnessTracker
-  /// keyed by (tenant, graph fingerprint, app). The tracker also feeds
-  /// the store GC's coldest-first eviction order.
-  HotnessOptions hotness;
-  /// > 0 enables hotness-gated store admission: generated guidance is
-  /// written to the .rrg store only once its graph's estimated request
-  /// count reaches this threshold. Colder graphs keep their guidance in
-  /// memory (and are promoted to disk by the first hit after the graph
-  /// turns hot). 0 = admit everything, the historic behavior.
+  /// > 0 enables demand-gated store admission: generated guidance is
+  /// written to the .rrg store only once its graph version's request
+  /// count (GraphRequests) reaches this threshold. Colder graphs keep
+  /// their guidance in memory (and are promoted to disk by the first hit
+  /// after the graph turns hot). 0 = admit everything, the historic
+  /// behavior.
   uint64_t hot_admit_threshold = 0;
-  /// Exact per-tenant stat rows kept in Stats(). Tenants beyond the cap
-  /// are accounted in one aggregate row (sketched_tail) plus the sketch,
-  /// bounding the map at production tenant cardinality. 0 = unlimited.
+  /// Exact per-tenant stat rows kept in Stats(), and per-tenant latency
+  /// series in the metrics registry. Tenants beyond the cap share one
+  /// aggregate row (untracked) and one `tenant="(untracked)"` series,
+  /// bounding both at production tenant cardinality. 0 = unlimited.
   size_t max_tracked_tenants = 256;
 };
 
@@ -401,15 +387,16 @@ class JobService {
   /// object if the ring has evicted it). Always a single line.
   std::string RenderTraceJson(const std::string& selector) const;
 
-  /// The `hot [k]` command payload: a `hot:` header (k, sketch
-  /// observations) followed by one `hot <rank> graph=<name>
-  /// fp=<hex> est=<n>` line per tracked heavy-hitter graph, hottest
-  /// first. Graphs whose fingerprint has no registered name (e.g. a
-  /// pre-restart mutation lineage) render as graph=?.
+  /// The `hot [k]` command payload: a `hot: k=<k>` header followed by one
+  /// `hot <rank> graph=<name> fp=<hex> requests=<n>` line for each of the
+  /// k most requested graph versions (requests descending, then
+  /// fingerprint ascending).
   std::string RenderHot(size_t k) const;
 
-  /// The request-stream sketch (tests cross-check estimates through it).
-  const HotnessTracker& hotness() const { return tracker_; }
+  /// Accepted or queue-full submits and mutations against the graph
+  /// version `fingerprint` so far (0 for one never requested). Feeds store
+  /// admission, the store GC's coldest-first eviction order and `hot`.
+  uint64_t GraphRequests(uint64_t fingerprint) const;
 
   /// Graceful shutdown: reject new submissions, drain every already
   /// accepted job, stop the maintenance loop, run the final sweep.
@@ -453,13 +440,11 @@ class JobService {
   /// Mirrors Stats() counters into the registry before rendering.
   void CollectMetrics();
   void WriteMetricsDump();
-  /// Streams one request through the sketch plane and (under stats_mu_)
-  /// maintains the fingerprint->name map for `hot` rendering plus the
-  /// distinct-spilled-tenant count. fingerprint == 0 = unresolved.
-  void RecordDemand(const std::string& tenant, uint64_t fingerprint,
-                    const std::string& graph_name);
-  /// The tenant's exact stats row, or the sketched_tail aggregate once
-  /// the max_tracked_tenants cap is reached. Caller holds stats_mu_.
+  /// Counts one request against the graph version `fingerprint`, which
+  /// displays under `graph_name` (the first name submitted against it).
+  void RecordDemand(uint64_t fingerprint, const std::string& graph_name);
+  /// The tenant's exact stats row, or the untracked aggregate once the
+  /// max_tracked_tenants cap is reached. Caller holds stats_mu_.
   TenantStats& TenantRowLocked(const std::string& tenant);
 
   JobServiceOptions options_;
@@ -467,10 +452,19 @@ class JobService {
   /// pointers into this registry for its whole lifetime.
   obs::MetricsRegistry metrics_;
   obs::FlightRecorder recorder_;
-  /// Declared before session_: the session's provider holds admission /
-  /// eviction-oracle lambdas that read the tracker, so the tracker must
-  /// outlive the session.
-  HotnessTracker tracker_;
+  /// Demand per graph version: fingerprint -> the first name submitted
+  /// against it and its request count. Grows by one entry per version a
+  /// request resolves to, as Session's version history does. Declared
+  /// before session_: the provider's admission and eviction hooks read it
+  /// for the session's whole lifetime. demand_mu_ is a leaf lock — the
+  /// store's sweep and the cache's admission check call in holding their
+  /// own locks, so nothing else is taken under it.
+  struct GraphDemand {
+    std::string name;
+    uint64_t requests = 0;
+  };
+  mutable std::mutex demand_mu_;
+  std::unordered_map<uint64_t, GraphDemand> demand_;
   std::unique_ptr<api::Session> session_;
   JobQueue<QueuedJob> queue_;
 
@@ -484,9 +478,6 @@ class JobService {
 
   mutable std::mutex stats_mu_;
   JobServiceStats stats_;
-  /// Graph fingerprint -> registered name for `hot` rendering (guarded by
-  /// stats_mu_; bounded by the registered-graph count, first name wins).
-  std::unordered_map<uint64_t, std::string> fingerprint_names_;
 
   std::atomic<bool> accepting_{true};
   std::atomic<bool> stopping_{false};

@@ -320,18 +320,12 @@ std::string FormatStats(const JobServiceStats& stats) {
           static_cast<unsigned long long>(stats.cache.store_hits),
           static_cast<unsigned long long>(stats.cache.admission_skips),
           static_cast<unsigned long long>(stats.cache.admission_promotions));
-  Appendf(&out,
-          "sketch: observations=%llu tenants_tracked=%llu "
-          "tenants_sketched=%llu\n",
-          static_cast<unsigned long long>(stats.sketch_observations),
-          static_cast<unsigned long long>(stats.tenants_tracked),
-          static_cast<unsigned long long>(stats.tenants_sketched));
-  for (const auto& [tenant, t] : stats.tenants) {
+  auto tenant_row = [&out](const std::string& label, const TenantStats& t) {
     Appendf(&out,
             "tenant %s: jobs=%llu/%llu failed=%llu rejected=%llu "
             "mutations=%llu guidance hits=%llu misses=%llu "
             "repaired=%llu bytes=%llu acquire=%.4fs\n",
-            tenant.c_str(),
+            label.c_str(),
             static_cast<unsigned long long>(t.jobs_completed),
             static_cast<unsigned long long>(t.jobs_submitted),
             static_cast<unsigned long long>(t.jobs_failed),
@@ -342,27 +336,12 @@ std::string FormatStats(const JobServiceStats& stats) {
             static_cast<unsigned long long>(t.guidance_repaired),
             static_cast<unsigned long long>(t.guidance_bytes),
             t.guidance_seconds);
-  }
-  if (stats.tenants_sketched > 0) {
-    // Aggregate row for tenants past the exact-tracking cap; per-tenant
-    // rates for these live in the sketch (`hot`, EstimateTenant), while
-    // this row keeps the tenant table summing to the service totals.
-    const TenantStats& t = stats.sketched_tail;
-    Appendf(&out,
-            "tenant (sketched %llu): jobs=%llu/%llu failed=%llu "
-            "rejected=%llu mutations=%llu guidance hits=%llu misses=%llu "
-            "repaired=%llu bytes=%llu acquire=%.4fs\n",
-            static_cast<unsigned long long>(stats.tenants_sketched),
-            static_cast<unsigned long long>(t.jobs_completed),
-            static_cast<unsigned long long>(t.jobs_submitted),
-            static_cast<unsigned long long>(t.jobs_failed),
-            static_cast<unsigned long long>(t.jobs_rejected),
-            static_cast<unsigned long long>(t.mutations),
-            static_cast<unsigned long long>(t.guidance_hits),
-            static_cast<unsigned long long>(t.guidance_misses),
-            static_cast<unsigned long long>(t.guidance_repaired),
-            static_cast<unsigned long long>(t.guidance_bytes),
-            t.guidance_seconds);
+  };
+  for (const auto& [tenant, t] : stats.tenants) tenant_row(tenant, t);
+  // Aggregate row for tenants past the exact-tracking cap: it keeps the
+  // tenant table summing to the service totals.
+  if (stats.untracked.jobs_submitted > 0 || stats.untracked.jobs_rejected > 0) {
+    tenant_row("(untracked)", stats.untracked);
   }
   return out;
 }

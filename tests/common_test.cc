@@ -333,7 +333,7 @@ TEST(WorkStealingTest, StealingRebalancesSkewedWork) {
     if (w == 0 && lo < 1024) {
       // Simulated heavy chunk: burn some cycles.
       volatile uint64_t x = 0;
-      for (int i = 0; i < 200000; ++i) x += i;
+      for (int i = 0; i < 200000; ++i) x = x + i;
     }
   });
   uint64_t total = 0;

@@ -453,7 +453,7 @@ TEST(GuidanceAdmissionTest, ColdGraphSkipsTheStoreWrite) {
 
 TEST(GuidanceAdmissionTest, MemoryHitPromotesOnceTheGraphTurnsHot) {
   Graph g = Graph::FromEdges(GenerateChain(24));
-  std::atomic<uint64_t> demand{0};  // stands in for the demand sketch
+  std::atomic<uint64_t> demand{0};  // stands in for the request count
   GuidanceProviderOptions opt = StoreOptions("slfe_admission_promote");
   opt.store_admission = [&demand](uint64_t) { return demand.load() >= 2; };
   GuidanceProvider provider(opt);

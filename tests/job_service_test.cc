@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1052,9 +1054,16 @@ TEST(JobServiceObservabilityTest, TracingDisabledStillFeedsHistograms) {
             std::string::npos);
 }
 
-// --------------------------------------------------------- Demand sketch
+// -------------------------------------------------------- Demand counts
 
-TEST(JobServiceSketchTest, StreamsEveryRequestAndRanksHotGraphs) {
+std::string FingerprintHex(uint64_t fingerprint) {
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(fingerprint));
+  return hex;
+}
+
+TEST(JobServiceDemandTest, CountsEveryRequestPerVersionAndRanksHotGraphs) {
   JobService service;
   ASSERT_TRUE(service.RegisterGraph("hotg", Rmat(200, 1500, 31)).ok());
   ASSERT_TRUE(service.RegisterGraph("coldg", Rmat(150, 900, 32)).ok());
@@ -1072,41 +1081,54 @@ TEST(JobServiceSketchTest, StreamsEveryRequestAndRanksHotGraphs) {
   for (int i = 0; i < 5; ++i) run("acme", "hotg");
   for (int i = 0; i < 2; ++i) run("globex", "coldg");
 
-  JobServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.sketch_observations, 7u);
-  EXPECT_EQ(stats.tenants_tracked, 2u);
-  EXPECT_EQ(stats.tenants_sketched, 0u);
-  EXPECT_GE(service.hotness().EstimateTenant("acme"), 5u);
+  const uint64_t hot_fp = service.session().GetGraph("hotg")->fingerprint();
+  const uint64_t cold_fp = service.session().GetGraph("coldg")->fingerprint();
+  EXPECT_EQ(service.GraphRequests(hot_fp), 5u);
+  EXPECT_EQ(service.GraphRequests(cold_fp), 2u);
 
-  // The `hot` surface: ranked, named, counted.
+  // The `hot` surface: ranked, named, counted exactly.
   std::string hot = service.RenderHot(3);
-  EXPECT_EQ(hot.find("hot: k=3 observations=7"), 0u) << hot;
-  size_t first = hot.find("hot 1 graph=hotg");
-  size_t second = hot.find("hot 2 graph=coldg");
-  ASSERT_NE(first, std::string::npos) << hot;
-  ASSERT_NE(second, std::string::npos) << hot;
-  EXPECT_LT(first, second);
-  EXPECT_NE(hot.find("est=5"), std::string::npos) << hot;
+  EXPECT_EQ(hot, "hot: k=3\n"
+                 "hot 1 graph=hotg fp=" + FingerprintHex(hot_fp) +
+                 " requests=5\n"
+                 "hot 2 graph=coldg fp=" + FingerprintHex(cold_fp) +
+                 " requests=2\n");
 
-  // A rejected submit still feeds the tenant marginal (fingerprint 0:
-  // no graph marginal, so the ranking above is untouched).
+  // A submit rejected before its graph resolves has no version to count
+  // against: the ranking is unchanged.
   JobRequest bad;
   bad.tenant = "initech";
   bad.graph = "nope";
   EXPECT_FALSE(service.Submit(bad).ok());
-  EXPECT_EQ(service.Stats().sketch_observations, 8u);
-  EXPECT_GE(service.hotness().EstimateTenant("initech"), 1u);
+  EXPECT_EQ(service.RenderHot(3), hot);
 
-  // And the registry mirrors it all as metrics.
   std::string metrics = service.RenderMetricsText();
-  EXPECT_NE(metrics.find("slfe_sketch_observations_total 8"),
-            std::string::npos);
-  EXPECT_NE(metrics.find("slfe_hot_graph_estimate{graph=\"hotg\"}"),
+  EXPECT_NE(metrics.find("slfe_graph_requests_total{graph=\"hotg\"} 5\n"),
+            std::string::npos)
+      << metrics;
+
+  // A mutation counts against the version it was submitted on; the next
+  // query resolves to, and counts against, the new version.
+  MutationRequest mutation;
+  mutation.tenant = "globex";
+  mutation.graph = "coldg";
+  mutation.delta.insert.push_back(Edge{149, 148, 1.0f});
+  ASSERT_TRUE(service.SubmitMutation(mutation).value()->Wait().status.ok());
+  const uint64_t mutated_fp =
+      service.session().GetGraph("coldg")->fingerprint();
+  ASSERT_NE(mutated_fp, cold_fp);
+  EXPECT_EQ(service.GraphRequests(cold_fp), 3u);
+  EXPECT_EQ(service.GraphRequests(mutated_fp), 0u);
+  run("globex", "coldg");
+  EXPECT_EQ(service.GraphRequests(mutated_fp), 1u);
+  // The metric sums every version served under the name.
+  metrics = service.RenderMetricsText();
+  EXPECT_NE(metrics.find("slfe_graph_requests_total{graph=\"coldg\"} 4\n"),
             std::string::npos)
       << metrics;
 }
 
-TEST(JobServiceSketchTest, TenantCapSplitsExactRowsFromSketchedTail) {
+TEST(JobServiceDemandTest, TenantCapSplitsExactRowsFromUntrackedTail) {
   JobServiceOptions options;
   options.max_tracked_tenants = 2;
   JobService service(options);
@@ -1126,21 +1148,25 @@ TEST(JobServiceSketchTest, TenantCapSplitsExactRowsFromSketchedTail) {
   JobServiceStats stats = service.Stats();
   EXPECT_EQ(stats.completed, 4u);
   // First two tenants got exact rows; t3/t4 folded into the tail.
-  EXPECT_EQ(stats.tenants_tracked, 2u);
   ASSERT_EQ(stats.tenants.size(), 2u);
-  EXPECT_EQ(stats.tenants_sketched, 2u);
-  EXPECT_EQ(stats.sketched_tail.jobs_submitted, 2u);
-  EXPECT_EQ(stats.sketched_tail.jobs_completed, 2u);
-  uint64_t row_sum = stats.sketched_tail.jobs_completed;
+  EXPECT_EQ(stats.untracked.jobs_submitted, 2u);
+  EXPECT_EQ(stats.untracked.jobs_completed, 2u);
+  uint64_t row_sum = stats.untracked.jobs_completed;
   for (const auto& [name, t] : stats.tenants) {
     EXPECT_NE(std::string(name), "t3");
     EXPECT_NE(std::string(name), "t4");
     row_sum += t.jobs_completed;
   }
   EXPECT_EQ(row_sum, stats.completed);  // rows + tail still sum to totals
-  // The spilled tenants stay readable through the sketch.
-  EXPECT_GE(service.hotness().EstimateTenant("t3"), 1u);
-  EXPECT_GE(service.hotness().EstimateTenant("t4"), 1u);
+
+  // The latency histograms obey the same cap: the tail shares one series.
+  std::string metrics = service.RenderMetricsText();
+  EXPECT_EQ(metrics.find("tenant=\"t3\""), std::string::npos);
+  EXPECT_EQ(metrics.find("tenant=\"t4\""), std::string::npos);
+  EXPECT_NE(metrics.find("slfe_tenant_job_latency_seconds_count"
+                         "{tenant=\"(untracked)\"} 2\n"),
+            std::string::npos)
+      << metrics;
 
   // A tenant that spilled once never flips back to an exact row.
   JobRequest again;
@@ -1152,11 +1178,54 @@ TEST(JobServiceSketchTest, TenantCapSplitsExactRowsFromSketchedTail) {
   ticket.value()->Wait();
   stats = service.Stats();
   EXPECT_EQ(stats.tenants.size(), 2u);
-  EXPECT_EQ(stats.tenants_sketched, 2u);  // t3 was already counted
-  EXPECT_EQ(stats.sketched_tail.jobs_submitted, 3u);
+  EXPECT_EQ(stats.untracked.jobs_submitted, 3u);
 }
 
-TEST(JobServiceSketchTest, HotAdmitThresholdGatesAndPromotesStoreWrites) {
+TEST(JobServiceDemandTest, BudgetSweepEvictsTheLeastRequestedGraphFirst) {
+  JobServiceOptions options;
+  options.provider.store_dir = StoreDir("slfe_demand_gc");
+  options.provider.store_gc.max_entries = 1;
+  JobService service(options);
+  ASSERT_TRUE(service.RegisterGraph("hotg", Rmat(200, 1500, 36)).ok());
+  ASSERT_TRUE(service.RegisterGraph("oneshot", Rmat(150, 900, 37)).ok());
+
+  auto run = [&](const std::string& graph) {
+    JobRequest request;
+    request.app = "sssp";
+    request.graph = graph;
+    auto ticket = service.Submit(request);
+    ASSERT_TRUE(ticket.ok());
+    EXPECT_TRUE(ticket.value()->Wait().status.ok());
+  };
+  auto entries = [&] {
+    std::vector<std::filesystem::path> out;
+    for (const auto& e :
+         std::filesystem::directory_iterator(options.provider.store_dir)) {
+      if (e.path().extension() == ".rrg") out.push_back(e.path());
+    }
+    return out;
+  };
+
+  for (int i = 0; i < 3; ++i) run("hotg");
+  std::vector<std::filesystem::path> saved = entries();
+  ASSERT_EQ(saved.size(), 1u);
+  const std::filesystem::path hot_entry = saved[0];
+  // Make hotg's entry unambiguously the least recently written, so mtime
+  // LRU alone would pick it as the victim.
+  std::filesystem::last_write_time(
+      hot_entry,
+      std::filesystem::last_write_time(hot_entry) - std::chrono::hours(1));
+  run("oneshot");
+  ASSERT_EQ(entries().size(), 2u);
+
+  GuidanceStoreSweepStats sweep = service.SweepNow();
+  EXPECT_EQ(sweep.budget_removed, 1u);
+  saved = entries();
+  ASSERT_EQ(saved.size(), 1u);
+  EXPECT_EQ(saved[0], hot_entry) << "3 requests must outrank 1";
+}
+
+TEST(JobServiceDemandTest, HotAdmitThresholdGatesAndPromotesStoreWrites) {
   JobServiceOptions options;
   options.provider.store_dir = StoreDir("slfe_sketch_admit");
   options.hot_admit_threshold = 2;
@@ -1173,8 +1242,8 @@ TEST(JobServiceSketchTest, HotAdmitThresholdGatesAndPromotesStoreWrites) {
     EXPECT_TRUE(ticket.value()->Wait().status.ok());
   };
 
-  // First sight of each graph: estimated demand 1 < threshold 2, so the
-  // freshly generated guidance stays memory-only.
+  // First sight of each graph: 1 request < threshold 2, so the freshly
+  // generated guidance stays memory-only.
   run("hotg");
   run("oneshot");
   JobServiceStats stats = service.Stats();

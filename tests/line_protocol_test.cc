@@ -260,25 +260,26 @@ TEST(FormatResultTest, FailedStatusIsReported) {
   EXPECT_EQ(line.find("status=ok"), std::string::npos);
 }
 
-TEST(FormatStatsTest, SketchLineAndTailRowRenderOnlyWhenPresent) {
+TEST(FormatStatsTest, UntrackedRowRendersOnlyWhenItHoldsAJob) {
   JobServiceStats stats;
-  stats.sketch_observations = 17;
-  stats.tenants_tracked = 2;
   std::string block = FormatStats(stats);
-  EXPECT_NE(block.find("sketch: observations=17 tenants_tracked=2 "
-                       "tenants_sketched=0\n"),
-            std::string::npos)
-      << block;
   EXPECT_NE(block.find("admission_skips=0 admission_promotions=0"),
             std::string::npos);
-  // No spilled tenants: no tail row cluttering the table.
-  EXPECT_EQ(block.find("(sketched"), std::string::npos);
+  // No tenant past the cap: no tail row cluttering the table.
+  EXPECT_EQ(block.find("(untracked)"), std::string::npos) << block;
 
-  stats.tenants_sketched = 3;
-  stats.sketched_tail.jobs_submitted = 9;
-  stats.sketched_tail.jobs_completed = 8;
+  // A rejection alone is enough to render it.
+  stats.untracked.jobs_rejected = 1;
   block = FormatStats(stats);
-  EXPECT_NE(block.find("tenant (sketched 3): jobs=8/9"), std::string::npos)
+  EXPECT_NE(block.find("tenant (untracked): jobs=0/0 failed=0 rejected=1"),
+            std::string::npos)
+      << block;
+
+  stats.untracked.jobs_rejected = 0;
+  stats.untracked.jobs_submitted = 9;
+  stats.untracked.jobs_completed = 8;
+  block = FormatStats(stats);
+  EXPECT_NE(block.find("tenant (untracked): jobs=8/9"), std::string::npos)
       << block;
 }
 

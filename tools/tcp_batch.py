@@ -82,7 +82,11 @@ class Conn:
             # quitting one that's already gone is fine.
             pass
         while True:
-            line = self.read_line()
+            try:
+                line = self.read_line()
+            except ConnectionResetError:
+                # Same as EOF: the server dropped the connection first.
+                return
             if line is None:
                 return
             self.echo(line)
