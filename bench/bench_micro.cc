@@ -1,19 +1,23 @@
 // Component microbenchmarks (google-benchmark): CSR construction, graph
 // delta application, chunk partitioning, RR guidance generation, bitmap
-// throughput, generator throughput, and the engine's two propagation
-// modes. These bound the per-edge costs every experiment above is built on.
+// throughput, generator throughput, and the fixed costs of the engine: a
+// sparse (push) superstep and one cross-rank collective. These bound the
+// per-edge and per-superstep costs every experiment above is built on.
 
 #include <benchmark/benchmark.h>
 
 #include <numeric>
 #include <random>
 
+#include "bench/bench_util.h"
+#include "slfe/apps/bfs.h"
 #include "slfe/common/bitmap.h"
 #include "slfe/core/rr_guidance.h"
 #include "slfe/engine/dist_graph.h"
 #include "slfe/graph/delta.h"
 #include "slfe/graph/generators.h"
 #include "slfe/graph/partitioner.h"
+#include "slfe/sim/cluster.h"
 
 namespace slfe {
 namespace {
@@ -121,6 +125,44 @@ void BM_BitmapSetScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n / 3);
 }
 BENCHMARK(BM_BitmapSetScan);
+
+/// bfs to completion on the deep 192x192 grid, guidance off: about 380
+/// supersteps of about 100 active vertices each. Items are supersteps, so
+/// the time per item is what one sparse superstep costs at N nodes.
+void BM_GridBfs(benchmark::State& state) {
+  const Graph& g = bench::LoadGraph("GRID");
+  AppConfig config;
+  config.num_nodes = static_cast<int>(state.range(0));
+  uint64_t supersteps = 0;
+  for (auto _ : state) {
+    BfsResult r = RunBfs(g, config);
+    benchmark::DoNotOptimize(r.levels.data());
+    supersteps += r.info.supersteps;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(supersteps));
+}
+BENCHMARK(BM_GridBfs)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// One AllReduceSum across N simulated ranks. 1000 run back to back per
+/// Cluster::Run, so the rank threads' start-up is amortized; items are
+/// collectives.
+void BM_AllReduceSum(benchmark::State& state) {
+  constexpr int kCalls = 1000;
+  sim::Cluster cluster(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    cluster.Run([&](sim::NodeContext& ctx) {
+      uint64_t sum = 0;
+      for (int i = 0; i < kCalls; ++i) {
+        sum += ctx.world->AllReduceSum(ctx.rank, static_cast<uint64_t>(i));
+      }
+      benchmark::DoNotOptimize(sum);
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * kCalls);
+}
+BENCHMARK(BM_AllReduceSum)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace slfe

@@ -75,32 +75,40 @@ class Bitmap {
   }
 
   /// Population count over the whole bitmap.
-  size_t CountOnes() const {
+  size_t CountOnes() const { return CountOnesIn(0, size_); }
+
+  /// Population count over bits [begin, end), a 64-bit word at a time.
+  size_t CountOnesIn(size_t begin, size_t end) const {
     size_t n = 0;
-    for (const auto& w : words_)
-      n += static_cast<size_t>(
-          __builtin_popcountll(w.v.load(std::memory_order_relaxed)));
+    if (begin >= end) return n;
+    SLFE_CHECK_LE(end, size_);
+    for (size_t wi = begin / 64; wi <= (end - 1) / 64; ++wi) {
+      n += static_cast<size_t>(__builtin_popcountll(WordIn(wi, begin, end)));
+    }
     return n;
   }
 
   /// Invokes fn(i) for every set bit i, in ascending order.
   template <typename Fn>
   void ForEachSetBit(Fn&& fn) const {
-    for (size_t wi = 0; wi < words_.size(); ++wi) {
-      uint64_t w = words_[wi].v.load(std::memory_order_relaxed);
+    ForEachSetBitIn(0, size_, fn);
+  }
+
+  /// Invokes fn(i) for every set bit i in [begin, end), in ascending order.
+  /// Reads a 64-bit word at a time, so a sparse range costs its word count
+  /// plus its set bits, not one test per bit.
+  template <typename Fn>
+  void ForEachSetBitIn(size_t begin, size_t end, Fn&& fn) const {
+    if (begin >= end) return;
+    SLFE_CHECK_LE(end, size_);
+    for (size_t wi = begin / 64; wi <= (end - 1) / 64; ++wi) {
+      uint64_t w = WordIn(wi, begin, end);
       while (w != 0) {
-        int b = __builtin_ctzll(w);
-        fn(wi * 64 + static_cast<size_t>(b));
+        fn(wi * 64 + static_cast<size_t>(__builtin_ctzll(w)));
         w &= w - 1;
       }
     }
   }
-
-  /// Raw 64-bit word (for bulk scans); word w covers bits [64w, 64w+63].
-  uint64_t Word64(size_t w) const {
-    return words_[w].v.load(std::memory_order_relaxed);
-  }
-  size_t WordCount() const { return words_.size(); }
 
  private:
   // std::atomic<uint64_t> is neither copyable nor movable; wrapping it lets
@@ -118,6 +126,16 @@ class Bitmap {
   };
 
   static size_t WordCount(size_t bits) { return (bits + 63) / 64; }
+
+  // Word wi with the bits outside [begin, end) cleared (begin < end).
+  uint64_t WordIn(size_t wi, size_t begin, size_t end) const {
+    uint64_t w = words_[wi].v.load(std::memory_order_relaxed);
+    if (wi == begin / 64) w &= ~uint64_t{0} << (begin % 64);
+    if (wi == (end - 1) / 64 && end % 64 != 0) {
+      w &= (uint64_t{1} << (end % 64)) - 1;
+    }
+    return w;
+  }
 
   void CopyFrom(const Bitmap& other) {
     size_ = other.size_;

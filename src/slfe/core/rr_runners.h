@@ -74,13 +74,10 @@ class MinMaxRunner {
     RunResult result;
     const bool rr = guidance_ != nullptr;
     engine_->BeginRun(ctx);
-    if (rr) {
-      if (ctx.rank == 0) {
-        started_.assign(engine_->dist_graph().graph().num_vertices(), 0);
-      }
-      ctx.world->Barrier();
+    if (rr && ctx.rank == 0) {
+      started_.assign(engine_->dist_graph().graph().num_vertices(), 0);
     }
-    for (VertexId s : seeds) engine_->ActivateSeed(ctx, s);
+    engine_->ActivateSeeds(ctx, seeds);  // its barrier publishes started_
     uint64_t active = engine_->PromoteActiveSet(ctx);
 
     uint32_t ruler = 0;  // the single Ruler: the iteration counter
@@ -116,8 +113,12 @@ class MinMaxRunner {
       // updates at its own unlock (gather-all) and tracked later ones
       // through active gathering or pushes, so only this residue needs a
       // gather-all pass. If it finds nothing (the common case) its cost is
-      // reclassified as verification.
-      EngineStats before = engine_->FinishRun(ctx);
+      // reclassified as verification. Only the scalar totals are read:
+      // copying the whole stats would race the next superstep's per-rank
+      // counters, which faster ranks already write.
+      const EngineStats& before = engine_->FinishRun(ctx);
+      const uint64_t updates_before = before.updates;
+      const uint64_t computations_before = before.computations;
       const Mode kForcePull = Mode::kPull;
       active = engine_->ProcessEdges(
           ctx, identity, gather, apply, scatter,
@@ -134,12 +135,12 @@ class MinMaxRunner {
           /*gather_all=*/true, &kForcePull);
       ++result.supersteps;
       ++ruler;
-      EngineStats after = engine_->FinishRun(ctx);
-      uint64_t swept = after.updates - before.updates;
+      const EngineStats& after = engine_->FinishRun(ctx);
+      uint64_t swept = after.updates - updates_before;
       result.safety_sweep_updates += swept;
       if (swept == 0) {
         result.verification_computations +=
-            after.computations - before.computations;
+            after.computations - computations_before;
       }
       if (active == 0) break;  // converged; sweep confirmed the fixpoint
     }
@@ -211,8 +212,7 @@ class ArithRunner {
       stable_value_ = *values;
       frozen_.assign(n, 0);
     }
-    ctx.world->Barrier();
-    engine_->ActivateAll(ctx);
+    engine_->ActivateAll(ctx);  // its barrier publishes the arrays above
     uint64_t active = engine_->PromoteActiveSet(ctx);
     (void)active;
 

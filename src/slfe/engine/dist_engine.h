@@ -71,7 +71,6 @@ struct EngineStats {
   uint64_t bytes = 0;
   std::vector<uint64_t> per_iter_computations;  ///< Fig. 9 series
   std::vector<Mode> per_iter_mode;
-  std::vector<double> node_compute_seconds;   ///< per-rank wall time
   std::vector<uint64_t> node_computations;    ///< per-rank work, Fig. 10b
   std::vector<uint64_t> per_thread_chunks;    ///< stealing diag, Fig. 10a
 
@@ -143,7 +142,6 @@ class DistEngine {
       active_cur_->Clear();
       active_next_->Clear();
       stats_ = EngineStats{};
-      stats_.node_compute_seconds.assign(dg_.num_nodes(), 0.0);
       stats_.node_computations.assign(dg_.num_nodes(), 0);
       stats_.per_thread_chunks.assign(
           static_cast<size_t>(dg_.num_nodes()) * ctx.pool->num_threads(), 0);
@@ -152,9 +150,14 @@ class DistEngine {
     ctx.world->Barrier();
   }
 
-  /// Collective: activates a single seed vertex (owner rank performs it).
-  void ActivateSeed(sim::NodeContext& ctx, VertexId v) {
-    if (dg_.range(ctx.rank).Contains(v)) active_next_->SetBit(v);
+  /// Collective: activates the seeds this rank owns, then passes one
+  /// barrier, however many seeds there are. Duplicates are harmless.
+  void ActivateSeeds(sim::NodeContext& ctx,
+                     const std::vector<VertexId>& seeds) {
+    const VertexRange& r = dg_.range(ctx.rank);
+    for (VertexId v : seeds) {
+      if (r.Contains(v)) active_next_->SetBit(v);
+    }
     ctx.world->Barrier();
   }
 
@@ -179,17 +182,13 @@ class DistEngine {
   uint64_t PromoteActiveSet(sim::NodeContext& ctx) {
     ctx.world->Barrier();
     const VertexRange& r = dg_.range(ctx.rank);
-    uint64_t local = 0;
     if (ctx.rank == 0) {
       std::swap(active_cur_, active_next_);
     }
     ctx.world->Barrier();
-    for (VertexId v = r.begin; v < r.end; ++v) {
-      if (active_cur_->TestBit(v)) ++local;
-    }
+    uint64_t local = active_cur_->CountOnesIn(r.begin, r.end);
     if (ctx.rank == 0) active_next_->Clear();
-    uint64_t total = ctx.world->AllReduceSum(ctx.rank, local);
-    return total;
+    return ctx.world->AllReduceSum(ctx.rank, local);
   }
 
   /// Collective: one superstep. Picks push or pull per the mode policy,
@@ -223,7 +222,6 @@ class DistEngine {
       RunPush(ctx, scatter, &local_comp, &local_upd, &local_msgs,
               &local_bytes);
     }
-    double compute_seconds = step_timer.Seconds();
 
     // Commit counters and charge the BSP communication cost for this step.
     metrics_.computations.Add(local_comp);
@@ -231,7 +229,6 @@ class DistEngine {
     metrics_.skipped.Add(local_skip);
     metrics_.messages.Add(local_msgs);
     metrics_.bytes.Add(local_bytes);
-    AtomicAdd(&stats_.node_compute_seconds[ctx.rank], compute_seconds);
     AtomicAdd(&stats_.node_computations[ctx.rank], local_comp);
 
     double comm_cost = options_.cost_model.Cost(local_msgs, local_bytes);
@@ -303,9 +300,9 @@ class DistEngine {
     }
     const VertexRange& r = dg_.range(ctx.rank);
     uint64_t local_active_edges = 0;
-    for (VertexId v = r.begin; v < r.end; ++v) {
-      if (active_cur_->TestBit(v)) local_active_edges += dg_.graph().out_degree(v);
-    }
+    active_cur_->ForEachSetBitIn(r.begin, r.end, [&](size_t v) {
+      local_active_edges += dg_.graph().out_degree(static_cast<VertexId>(v));
+    });
     uint64_t active_edges = ctx.world->AllReduceSum(ctx.rank, local_active_edges);
     double threshold =
         options_.dense_fraction * static_cast<double>(dg_.graph().num_edges());
@@ -365,9 +362,9 @@ class DistEngine {
     // (i.e., is active now) must ship its value to each node holding a
     // mirror, so that remote pull-mode gathers see it.
     uint64_t refresh_values = 0;
-    for (VertexId v = r.begin; v < r.end; ++v) {
-      if (active_cur_->TestBit(v)) refresh_values += dg_.MirrorNodeCount(v);
-    }
+    active_cur_->ForEachSetBitIn(r.begin, r.end, [&](size_t v) {
+      refresh_values += dg_.MirrorNodeCount(static_cast<VertexId>(v));
+    });
     *bytes += refresh_values * (sizeof(VertexId) + sizeof(V));
     if (refresh_values > 0) {
       *msgs += static_cast<uint64_t>(dg_.num_nodes() - 1);  // batched
@@ -388,9 +385,9 @@ class DistEngine {
     auto chunks = scheduler_.Run(
         *ctx.pool, r.begin, r.end, [&](size_t worker, size_t lo, size_t hi) {
           ThreadCounters& c = tc[worker];
-          for (size_t sv = lo; sv < hi; ++sv) {
+          active_cur_->ForEachSetBitIn(lo, hi, [&](size_t sv) {
             VertexId src = static_cast<VertexId>(sv);
-            if (!active_cur_->TestBit(src) || out.degree(src) == 0) continue;
+            if (out.degree(src) == 0) return;
             c.vals += dg_.MirrorNodeCount(src);
             for (EdgeId e = out.begin(src); e < out.end(src); ++e) {
               VertexId dst = out.neighbor(e);
@@ -400,7 +397,7 @@ class DistEngine {
                 ++c.upd;
               }
             }
-          }
+          });
         });
     uint64_t vals = 0;
     for (size_t w = 0; w < nthreads; ++w) {

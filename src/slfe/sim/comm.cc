@@ -4,6 +4,11 @@ namespace slfe::sim {
 
 World::World(int num_nodes) : num_nodes_(num_nodes) {
   SLFE_CHECK_GE(num_nodes, 1);
+  for (int set = 0; set < 2; ++set) {
+    double_slots_[set].assign(num_nodes, 0.0);
+    u64_slots_[set].assign(num_nodes, 0);
+  }
+  parity_.assign(num_nodes, 0);
 }
 
 void World::Barrier() {
@@ -18,45 +23,29 @@ void World::Barrier() {
   }
 }
 
+int World::NextSlotSet(int rank) {
+  SLFE_CHECK(rank >= 0 && rank < num_nodes_) << "rank " << rank;
+  int set = parity_[rank];
+  parity_[rank] ^= 1;
+  return set;
+}
+
 double World::AllReduce(int rank, double value,
                         const std::function<double(double, double)>& op) {
-  (void)rank;
-  {
-    std::lock_guard<std::mutex> lock(reduce_mu_);
-    if (reduce_arrived_ == 0) {
-      reduce_value_ = value;
-    } else {
-      reduce_value_ = op(reduce_value_, value);
-    }
-    ++reduce_arrived_;
-  }
-  Barrier();  // all contributions in
-  double result;
-  {
-    std::lock_guard<std::mutex> lock(reduce_mu_);
-    result = reduce_value_;
-  }
-  Barrier();  // all reads done before scratch reuse
-  {
-    std::lock_guard<std::mutex> lock(reduce_mu_);
-    reduce_arrived_ = 0;
-  }
-  Barrier();  // reset visible to everyone
+  std::vector<double>& slots = double_slots_[NextSlotSet(rank)];
+  slots[rank] = value;
+  Barrier();  // every slot written
+  double result = slots[0];
+  for (int r = 1; r < num_nodes_; ++r) result = op(result, slots[r]);
   return result;
 }
 
 uint64_t World::AllReduceSum(int rank, uint64_t value) {
-  (void)rank;
-  reduce_mu_.lock();
-  reduce_u64_ += value;
-  reduce_mu_.unlock();
-  Barrier();
-  uint64_t result = reduce_u64_;
-  Barrier();
-  reduce_mu_.lock();
-  reduce_u64_ = 0;
-  reduce_mu_.unlock();
-  Barrier();
+  std::vector<uint64_t>& slots = u64_slots_[NextSlotSet(rank)];
+  slots[rank] = value;
+  Barrier();  // every slot written
+  uint64_t result = 0;
+  for (uint64_t v : slots) result += v;
   return result;
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <vector>
 
 #include "slfe/common/logging.h"
 
@@ -26,9 +27,9 @@ struct CostModel {
 };
 
 /// In-memory stand-in for MPI's collectives. N ranks (threads) share a
-/// World: a barrier and reduction scratch. No payload crosses it — the
+/// World: a barrier and reduction slots. No payload crosses it — the
 /// engines charge their traffic as counts through CostModel. All
-/// collective calls must be invoked by every rank.
+/// collective calls must be invoked by every rank, in the same order.
 class World {
  public:
   explicit World(int num_nodes);
@@ -38,15 +39,24 @@ class World {
   /// Sense-reversing barrier across all ranks.
   void Barrier();
 
-  /// All-reduce of one double using `op` (associative+commutative).
-  /// Every rank passes its local value; all receive the reduction.
+  /// All-reduce of one double using `op`. Every rank passes its local
+  /// value and all receive the fold in rank order, op(op(v0, v1), v2)...,
+  /// so a floating-point sum is bit-identical on every rank and does not
+  /// depend on which rank arrived first. Costs one barrier.
   double AllReduce(int rank, double value,
                    const std::function<double(double, double)>& op);
 
   /// All-reduce specialization: sum of uint64 (active-vertex counts etc.).
+  /// Costs one barrier.
   uint64_t AllReduceSum(int rank, uint64_t value);
 
  private:
+  /// The slot set `rank`'s current collective writes: its calls alternate
+  /// between two. Call k may reuse call k-2's set because every rank has
+  /// finished folding call k-2 before it arrives at call k-1's barrier,
+  /// which the writer of call k has passed, so no reset barrier is needed.
+  int NextSlotSet(int rank);
+
   int num_nodes_;
 
   // Barrier state (sense-reversing).
@@ -55,11 +65,11 @@ class World {
   int barrier_waiting_ = 0;
   bool barrier_sense_ = false;
 
-  // Reduction scratch.
-  std::mutex reduce_mu_;
-  double reduce_value_ = 0;
-  uint64_t reduce_u64_ = 0;
-  int reduce_arrived_ = 0;
+  // Reduction slots: one per rank in each of two sets, selected by the
+  // rank's own call parity.
+  std::vector<double> double_slots_[2];
+  std::vector<uint64_t> u64_slots_[2];
+  std::vector<uint8_t> parity_;
 };
 
 }  // namespace slfe::sim

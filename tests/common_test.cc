@@ -133,6 +133,38 @@ TEST(BitmapTest, ForEachSetBitVisitsAscending) {
   EXPECT_EQ(got, want);
 }
 
+TEST(BitmapTest, RangeWalksAgreeWithTestBit) {
+  // Both range ends on and beside word boundaries and the bitmap's end,
+  // empty and inverted ranges included, over sparse, dense and full maps.
+  Random rng(17);
+  for (size_t size : {1u, 63u, 64u, 65u, 130u, 1000u}) {
+    for (double density : {0.1, 0.5, 1.0}) {
+      Bitmap b(size);
+      for (size_t i = 0; i < size; ++i) {
+        if (rng.Bernoulli(density)) b.SetBit(i);
+      }
+      const std::vector<size_t> ends = {0,   1,   63,       64,  65,
+                                        127, 128, size - 1, size};
+      for (size_t begin : ends) {
+        for (size_t end : ends) {
+          if (begin > size || end > size) continue;
+          std::vector<size_t> want;
+          for (size_t i = begin; i < end; ++i) {
+            if (b.TestBit(i)) want.push_back(i);
+          }
+          std::vector<size_t> got;
+          b.ForEachSetBitIn(begin, end, [&](size_t i) { got.push_back(i); });
+          EXPECT_EQ(got, want) << "size=" << size << " density=" << density
+                               << " [" << begin << ", " << end << ")";
+          EXPECT_EQ(b.CountOnesIn(begin, end), want.size())
+              << "size=" << size << " density=" << density << " [" << begin
+              << ", " << end << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(BitmapTest, ConcurrentSetsAreLossless) {
   constexpr size_t kBits = 1 << 14;
   Bitmap b(kBits);

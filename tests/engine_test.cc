@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 #include <vector>
 
 #include "slfe/engine/atomic_ops.h"
@@ -136,7 +137,7 @@ TEST(DistEngineTest, BfsViaProcessEdges) {
 
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -168,6 +169,34 @@ TEST(DistEngineTest, BfsViaProcessEdges) {
   }
 }
 
+TEST(DistEngineTest, ActivateSeedsSetsEachDistinctSeedOnce) {
+  // Seeds at both ends and the middle of every rank's range, each range's
+  // first vertex twice: every owner sets its own seeds behind one barrier,
+  // so the promoted set holds exactly the distinct seeds.
+  Graph g = Graph::FromEdges(GenerateChain(300));
+  EngineHarness h(g, 3, 1);
+  std::vector<VertexId> seeds;
+  for (int p = 0; p < 3; ++p) {
+    const VertexRange& r = h.dg.range(p);
+    ASSERT_LT(r.begin, r.end);
+    for (VertexId v : {r.begin, r.end - 1, r.begin, (r.begin + r.end) / 2}) {
+      seeds.push_back(v);
+    }
+  }
+  std::set<VertexId> distinct(seeds.begin(), seeds.end());
+  std::vector<uint64_t> active(3, 0);
+  h.cluster.Run([&](sim::NodeContext& ctx) {
+    h.engine.BeginRun(ctx);
+    h.engine.ActivateSeeds(ctx, seeds);
+    active[ctx.rank] = h.engine.PromoteActiveSet(ctx);
+    h.engine.FinishRun(ctx);
+  });
+  for (uint64_t a : active) EXPECT_EQ(a, distinct.size());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(h.engine.IsActive(v), distinct.count(v) == 1) << "v=" << v;
+  }
+}
+
 TEST(DistEngineTest, AlwaysPushPolicyNeverPulls) {
   Graph g = Graph::FromEdges(GenerateChain(40));
   EngineOptions opt;
@@ -177,7 +206,7 @@ TEST(DistEngineTest, AlwaysPushPolicyNeverPulls) {
   level[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -203,7 +232,7 @@ TEST(DistEngineTest, AlwaysPullPolicyNeverPushes) {
   level[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -240,7 +269,7 @@ TEST(DistEngineTest, AdaptiveSwitchesWithFrontierSize) {
   level[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -278,7 +307,7 @@ TEST(DistEngineTest, AdaptiveSwitchesWithFrontierSize) {
   clevel[0] = 0;
   hc.cluster.Run([&](sim::NodeContext& ctx) {
     hc.engine.BeginRun(ctx);
-    hc.engine.ActivateSeed(ctx, 0);
+    hc.engine.ActivateSeeds(ctx, {0});
     uint64_t active = hc.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = hc.engine.ProcessEdges(
@@ -300,7 +329,7 @@ TEST(DistEngineTest, CommBytesZeroOnSingleNode) {
   lv[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -338,7 +367,7 @@ TEST(DistEngineTest, CommBytesGrowWithNodeCount) {
     dist[0] = 0;
     h.cluster.Run([&](sim::NodeContext& ctx) {
       h.engine.BeginRun(ctx);
-      h.engine.ActivateSeed(ctx, 0);
+      h.engine.ActivateSeeds(ctx, {0});
       uint64_t active = h.engine.PromoteActiveSet(ctx);
       while (active > 0) {
         active = h.engine.ProcessEdges(
@@ -386,7 +415,7 @@ TEST(DistEngineTest, PerIterationTraceMatchesTotals) {
   dist[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(

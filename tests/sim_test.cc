@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "slfe/sim/cluster.h"
@@ -86,6 +89,67 @@ TEST(ClusterTest, AllReduceMaxAndMin) {
   });
   for (double m : maxes) EXPECT_DOUBLE_EQ(m, 30.0);
   for (double m : mins) EXPECT_DOUBLE_EQ(m, 0.0);
+}
+
+// Rank `rank`'s contribution to round `round`. The magnitudes span many
+// binades, so the rounding of a double sum depends on the order it is
+// folded in: only the rank-order fold matches the expectation.
+double RoundValue(int round, int rank) {
+  return std::ldexp(1.0 + 0.1 * rank + 1e-3 * round,
+                    (round * 7 + rank * 13) % 61 - 30);
+}
+
+TEST(ClusterTest, CollectivesFoldInRankOrderBackToBack) {
+  // Back-to-back collectives with no barrier between them: the fast rank
+  // of round k writes its next slot while slower ranks may still fold
+  // round k, so a single slot set would hand them the wrong values.
+  constexpr int kRounds = 1000;
+  for (int ranks : {2, 3, 8}) {
+    Cluster cluster(ranks);
+    std::atomic<int> failures{0};
+    cluster.Run([&](NodeContext& ctx) {
+      for (int round = 0; round < kRounds; ++round) {
+        double want_sum = RoundValue(round, 0);
+        double want_max = want_sum;
+        uint64_t want_u64 = 0;
+        for (int r = 0; r < ranks; ++r) {
+          if (r > 0) want_sum += RoundValue(round, r);
+          want_max = std::max(want_max, RoundValue(round, r));
+          want_u64 += static_cast<uint64_t>(round) * 1000003u + r;
+        }
+        double mine = RoundValue(round, ctx.rank);
+        // Rotate the call order so each kind follows each other kind.
+        for (int i = 0; i < 3; ++i) {
+          switch ((round + i) % 3) {
+            case 0: {
+              double sum = ctx.world->AllReduce(
+                  ctx.rank, mine, [](double a, double b) { return a + b; });
+              if (std::bit_cast<uint64_t>(sum) !=
+                  std::bit_cast<uint64_t>(want_sum)) {
+                failures.fetch_add(1);
+              }
+              break;
+            }
+            case 1: {
+              double max = ctx.world->AllReduce(
+                  ctx.rank, mine,
+                  [](double a, double b) { return std::max(a, b); });
+              if (max != want_max) failures.fetch_add(1);
+              break;
+            }
+            default: {
+              uint64_t sum = ctx.world->AllReduceSum(
+                  ctx.rank, static_cast<uint64_t>(round) * 1000003u +
+                                static_cast<uint64_t>(ctx.rank));
+              if (sum != want_u64) failures.fetch_add(1);
+              break;
+            }
+          }
+        }
+      }
+    });
+    EXPECT_EQ(failures.load(), 0) << "ranks=" << ranks;
+  }
 }
 
 TEST(ClusterTest, PerNodePoolsAreIndependent) {
